@@ -150,3 +150,82 @@ def test_frame_property(tiny_universe):
             assert after <= allowed
             if not after <= before:
                 assert act.name == "getatobj"
+
+
+# (effect row, yield row) pairs each basic action fires on the 2/1/2/2
+# universe: every deterministic state and a fixed sample of the others
+FIRED_ROWS = {
+    "getatobj": {("p1.spot-nondet", "p1.spot-nondet"),
+                 ("p2.alloc", "p2.alloc"), ("p2.exhausted", "p2.exhausted")},
+    "setspot": {("p1.s-nondet", "p1.s-nondet"), ("p1.t-nondet", "p1.t-nondet"),
+                ("p2.copy", "p2.true"), ("p3.clear", "p2.true"),
+                ("p4.id", "p2.true")},
+    "clrspot": {("p1.s-nondet", "p1.s-nondet"), ("p2.clear", "p2.true"),
+                ("p3.id", "p2.true")},
+    "equaltst": {("p1.id", "p1.s-nondet"), ("p1.id", "p1.t-nondet"),
+                 ("p1.id", "p2.equal"), ("p1.id", "p3.s-defined"),
+                 ("p1.id", "p3.t-defined"), ("p1.id", "p4.both-undefined")},
+    "undeftst": {("p1.id", "p1.defined"), ("p1.id", "p2.undefined")},
+    "addfield": {("p1.s-nondet", "p1.s-nondet"),
+                 ("p2.has-flink", "p2.has-flink"),
+                 ("p2.has-pflink", "p2.has-pflink"), ("p3.add", "p3.ok"),
+                 ("p4.id", "p4.undefined")},
+    "rmvfield": {("p1.s-nondet", "p1.s-nondet"),
+                 ("p1.flink-nondet", "p1.flink-nondet"),
+                 ("p1.flink-pflink", "p1.flink-pflink"),
+                 ("p2.rmv-flink", "p2.flink"), ("p2.rmv-pflink", "p2.pflink"),
+                 ("p3.id", "p3.default")},
+    "hasfield": {("p1.id", "p1.s-nondet"), ("p1.id", "p1.flink-nondet"),
+                 ("p1.id", "p1.flink-pflink"), ("p1.id", "p2.flink"),
+                 ("p1.id", "p2.pflink"), ("p1.id", "p3.default")},
+    "setfield": {("p1.s-nondet", "p1.s-nondet"), ("p1.t-nondet", "p1.t-nondet"),
+                 ("p1.flink-nondet", "p1.flink-nondet"),
+                 ("p1.flink-pflink", "p1.flink-pflink"),
+                 ("p2.retarget", "p2.flink"), ("p2.fill", "p2.pflink"),
+                 ("p3.unset", "p2.flink"), ("p4.id", "p2.pflink"),
+                 ("p4.id", "p3.default")},
+    "clrfield": {("p1.s-nondet", "p1.s-nondet"),
+                 ("p1.flink-nondet", "p1.flink-nondet"),
+                 ("p1.flink-pflink", "p1.flink-pflink"),
+                 ("p2.clear", "p2.flink"), ("p3.id", "p2.pflink"),
+                 ("p3.id", "p3.default")},
+    "getfield": {("p1.s-nondet", "p1.s-nondet"), ("p1.t-nondet", "p1.t-nondet"),
+                 ("p1.flink-nondet", "p1.flink-nondet"),
+                 ("p1.flink-pflink", "p1.flink-pflink"),
+                 ("p2.fetch", "p2.flink"), ("p2.undefine", "p2.pflink"),
+                 ("p3.id", "p2.pflink"), ("p3.id", "p3.default")},
+    "asszero": {("p1.s-nondet", "p1.s-nondet"),
+                ("p1.val-nondet", "p1.val-nondet"), ("p2.zero", "p2.ok"),
+                ("p3.id", "p3.default")},
+    "assone": {("p1.s-nondet", "p1.s-nondet"),
+               ("p1.val-nondet", "p1.val-nondet"), ("p2.one", "p2.ok"),
+               ("p3.id", "p3.default")},
+    "undefvtst": {("p1.id", "p1.s-nondet"), ("p1.id", "p2.has-value"),
+                  ("p1.id", "p3.no-value"), ("p1.id", "p4.undefined")},
+}
+_SPOT_SHIELDS = {(f"p1.{x}-{kind}-nondet",) * 2
+                 for x in "st" for kind in ("spot", "val")}
+for _name in ("add", "mul", "neg", "inv"):
+    FIRED_ROWS[f"ass{_name}"] = _SPOT_SHIELDS | {(f"p2.{_name}", "p2.ok"),
+                                                ("p3.id", "p3.default")}
+FIRED_ROWS["eqvaltst"] = {("p1.id", y) for _, y in _SPOT_SHIELDS} | {
+    ("p1.id", "p2.equal"), ("p1.id", "p3.default")}
+
+
+def test_fired_row_table_is_pinned(tiny_universe):
+    u = tiny_universe
+    states = list(enumerate_linkages(u))
+    nondet = [l for l in states if not l.is_deterministic()]
+    sample = ([l for l in states if l.is_deterministic()]
+              + random.Random(0).sample(nondet, 1500))
+    fired = {}
+    for l in sample:
+        for act in all_basic_actions(u):
+            _, _, efire, yfire = evaluate(act, l)
+            assert efire.row.startswith(f"eff.{act.name}.")
+            assert yfire.row.startswith(f"yld.{act.name}.")
+            for fire in (efire, yfire):
+                assert fire.priority == int(fire.row.split(".")[2][1])
+            fired.setdefault(act.name, set()).add(
+                (efire.row.split(".", 2)[2], yfire.row.split(".", 2)[2]))
+    assert fired == FIRED_ROWS
