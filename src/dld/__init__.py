@@ -12,16 +12,16 @@ whole computations.
 from .actions import Act, all_actions, all_basic_actions, all_reclaim_actions
 from .errors import (BudgetExhausted, DldError, NonDeterministicState,
                      ParseError, UndeclaredName, UnknownFocus)
-from .linkage import (DataLinkage, canonical_text, combine, flink,
-                      is_deterministic, normalize, override, pflink, slink,
-                      valass)
+from .linkage import DataLinkage, flink, normalize, pflink, slink, valass
 from .meadow import Meadow
 from .parsing import parse_action, parse_action_list, parse_linkage, parse_term
-from .reclaim import clear_refs, effect_dldr, fgc, rgc, safe_dispose, yield_dldr
+from .reclaim import (clear_refs, effect_dldr, fgc, perform_dldr, rgc,
+                      safe_dispose, yield_dldr)
 from .refine import (CommutationVerdict, check_commutation, enumerate_states,
                      represent, retrieve)
 from .semantics import (NONDET, RuleFire, StepOutcome, effect, field_content,
-                        fields_of, spot_content, step, value_of, yield_)
+                        fields_of, perform, spot_content, step, value_of,
+                        yield_)
 from .set_model import (SetState, effect_set, effect_set_reclaim, incycle,
                         is_tight, reach_atoms, reach_from, sd_set, tighten,
                         ud_set, yield_set, yield_set_reclaim)

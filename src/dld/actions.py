@@ -53,6 +53,11 @@ RECLAIM_SIGNATURES = {
 
 SIGNATURES = {**BASIC_SIGNATURES, **RECLAIM_SIGNATURES}
 
+# the basic action each safe (sd) or unsafe (ud) disposal variant performs
+# before it disposes of the atom that action displaced
+UNDERLYING = {name: name[2:] for name in RECLAIM_SIGNATURES
+              if name.startswith(("sd", "ud"))}
+
 
 @dataclass(frozen=True)
 class Act:
@@ -68,6 +73,11 @@ class Act:
     @property
     def is_basic(self) -> bool:
         return self.name in BASIC_SIGNATURES
+
+    @property
+    def underlying(self) -> "Act":
+        """The basic action of a disposal variant, on the same arguments."""
+        return Act(UNDERLYING[self.name], self.args)
 
     def text(self) -> str:
         if not self.args:

@@ -15,9 +15,9 @@ from .actions import Act, all_basic_actions, all_reclaim_actions
 from .linkage import (DataLinkage, TCombine, TEmpty, TLit, TOverride, flink,
                       pflink, slink, valass)
 from .oracles import normalize_by_axioms, rgc_one_at_a_time
-from .reclaim import effect_dldr, fgc, rgc, yield_dldr
+from .reclaim import fgc, perform_dldr, rgc
 from .refine import check_commutation, enumerate_states, retrieve
-from .semantics import Scan, effect, yield_
+from .semantics import Scan, perform
 from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, Post, Ref, Service,
                       ThreadSpec, use)
 from .universe import Universe, small_universe
@@ -255,7 +255,7 @@ def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
     states = list(enumerate_linkages(u))
     for l in states:
         scan = Scan(l)
-        base = [(effect(a, l, scan), yield_(a, l, scan)) for a in basic]
+        base = [perform(a, l, scan) for a in basic]
         agree = [True] * len(basic)
         for _ in range(shuffles):
             order = list(l.iter_links())
@@ -265,8 +265,7 @@ def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
             for j, a in enumerate(basic):
                 if not agree[j]:
                     continue
-                if (effect(a, l2, scan2) != base[j][0]
-                        or yield_(a, l2, scan2) != base[j][1]):
+                if perform(a, l2, scan2) != base[j]:
                     agree[j] = False
         for j, a in enumerate(basic):
             if agree[j] and isinstance(base[j][1], bool):
@@ -279,7 +278,7 @@ def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
                                                 len(states)))
               if not l.is_deterministic()]
     for l in det + nondet:
-        base = [(effect_dldr(a, l), yield_dldr(a, l)) for a in reclaim]
+        base = [perform_dldr(a, l) for a in reclaim]
         agree = [True] * len(reclaim)
         for _ in range(2):
             order = list(l.iter_links())
@@ -288,8 +287,7 @@ def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
             for j, a in enumerate(reclaim):
                 if not agree[j]:
                     continue
-                if (effect_dldr(a, l2, rng=rng) != base[j][0]
-                        or yield_dldr(a, l2) != base[j][1]):
+                if perform_dldr(a, l2, rng=rng) != base[j]:
                     agree[j] = False
         for j, a in enumerate(reclaim):
             if agree[j]:
@@ -352,15 +350,11 @@ class TableService(Service):
         self.table = table
         self.state = state
 
-    def reply(self, method):
+    def process(self, method):
         if self.state == "blocked":
-            return BLOCKED
-        return self.table[(method, self.state)][0]
-
-    def derive(self, method) -> "TableService":
-        if self.state == "blocked":
-            return self
-        return TableService(self.table, self.table[(method, self.state)][1])
+            return BLOCKED, self
+        reply, successor = self.table[(method, self.state)]
+        return reply, TableService(self.table, successor)
 
 
 def random_service(rng: random.Random, methods, n_states: int = 4) -> TableService:
@@ -434,13 +428,13 @@ def suite_tsu(cases: int = 500, depth: int = 32, seed: int = 0) -> Summary:
         rhs = Post(Call(g, m), use(x, f, h), use(y, f, h))
         summary.record(thread_equal(lhs, rhs, depth), f"case {i}: TSU4")
 
-        reply = h.reply(m)
+        reply, successor = h.process(m)
         lhs = use(Post(Call(f, m), x, y), f, h)
         if reply is BLOCKED or reply == BLOCKED:
             summary.record(lhs is DEADLOCK, f"case {i}: TSU7")
         else:
             branch = x if reply else y
-            inner = use(branch, f, h.derive(m))
+            inner = use(branch, f, successor)
             axiom = "TSU5" if reply else "TSU6"
             summary.record(thread_equal(lhs, Post(TAU, inner, inner), depth),
                            f"case {i}: {axiom}")
@@ -451,13 +445,12 @@ def suite_tsu(cases: int = 500, depth: int = 32, seed: int = 0) -> Summary:
         absorbed = True
         for _ in range(20):
             m2 = rng.choice(methods)
-            r = svc.reply(m2)
+            r, svc = svc.process(m2)
             if seen_blocked and r is not BLOCKED:
                 absorbed = False
                 break
             if r is BLOCKED:
                 seen_blocked = True
-            svc = svc.derive(m2)
         summary.record(absorbed, f"case {i}: blocked absorption")
     return summary
 

@@ -8,7 +8,8 @@
 The universe is always explicit, from a key=value config file and/or
 flags; it is never inferred from input states.  Config keys: spots=,
 fields=, atoms= (comma-separated names, or a count expanded to #0..),
-modulus=, max_steps=, service=, output=.
+modulus=, max_steps=, service=, output=; a line whose first non-blank
+character is `#` is a comment.
 
 run exits 0 on termination, 2 on deadlock, 3 on budget exhaustion;
 check exits 1 when any case fails.
@@ -23,23 +24,17 @@ from .checks import SUITES
 from .errors import DldError
 from .linkage import normalize
 from .parsing import parse_action_list, parse_linkage, parse_term
-from .reclaim import effect_dldr, yield_dldr
+from .reclaim import perform_dldr
 from .scripts import parse_spec
 from .threads import dlds, run
-from .universe import Universe, small_universe
+from .universe import _FIELD_POOL, _SPOT_POOL, Universe, small_universe
 
 
-def _parse_names(value: str, prefix: str | None = None) -> tuple:
+def _parse_names(value: str) -> tuple:
     value = value.strip()
-    if value.isdigit() and prefix is not None:
-        return tuple(f"{prefix}{i}" for i in range(int(value)))
     if value.isdigit():
         return int(value)
     return tuple(x.strip() for x in value.split(",") if x.strip())
-
-
-_SPOT_NAMES = ("s", "t", "u", "v", "w", "x", "y", "z")
-_FIELD_NAMES = ("f", "g", "h", "k", "l", "m", "n", "o")
 
 
 def read_config(path: str | None) -> dict:
@@ -48,8 +43,9 @@ def read_config(path: str | None) -> dict:
         return config
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            # a comment is a whole line; `#` inside a value is an atom name
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise DldError(f"{path}:{lineno}: expected key=value")
@@ -78,14 +74,14 @@ def build_universe(config: dict, args) -> Universe:
             if count > len(pool):
                 raise DldError(f"too many generated {label}; list names instead")
             return pool[:count]
-        parsed = _parse_names(value, None)
+        parsed = _parse_names(value)
         if isinstance(parsed, int):
             raise DldError(f"bad {label} declaration: {value!r}")
         return parsed
 
     return Universe(
-        spots=names(spots, _SPOT_NAMES, "spots"),
-        fields=names(fields, _FIELD_NAMES, "fields"),
+        spots=names(spots, _SPOT_POOL, "spots"),
+        fields=names(fields, _FIELD_POOL, "fields"),
         atoms=names(atoms, (), "atoms"),
         modulus=int(modulus),
     )
@@ -111,8 +107,7 @@ def cmd_eval(args) -> int:
     with open(args.state, encoding="utf-8") as fh:
         state = parse_linkage(fh.read().strip(), u)
     for act in parse_action_list(args.actions, u):
-        reply = yield_dldr(act, state)
-        state = effect_dldr(act, state)
+        state, reply = perform_dldr(act, state)
         print(f"{act.text()} {'T' if reply else 'F'} {state.canonical_text()}")
     return 0
 
@@ -204,8 +199,6 @@ def main(argv=None) -> int:
     p.add_argument("--modulus", type=int)
     p.add_argument("--cases", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tight", action="store_true",
-                   help="tight states only (default for thm3)")
     p.add_argument("--include-nontight", action="store_true",
                    help="also check states with invisible in-use atoms")
     p.set_defaults(func=cmd_check)

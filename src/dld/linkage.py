@@ -183,26 +183,6 @@ class DataLinkage:
         return f"DataLinkage({self.canonical_text()!r})"
 
 
-def combine(a: DataLinkage, b: DataLinkage) -> DataLinkage:
-    return a.combine(b)
-
-
-def override(a: DataLinkage, b: DataLinkage) -> DataLinkage:
-    return a.override(b)
-
-
-def is_deterministic(l: DataLinkage) -> bool:
-    return l.is_deterministic()
-
-
-def atobj(l: DataLinkage) -> frozenset:
-    return l.atobj()
-
-
-def canonical_text(l: DataLinkage) -> str:
-    return l.canonical_text()
-
-
 # --- terms over linkages ---------------------------------------------------
 
 @dataclass(frozen=True)

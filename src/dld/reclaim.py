@@ -5,14 +5,21 @@ monotone (once a link is enabled it stays enabled within its priority
 band), so moving every enabled link per round gives the same result as
 any fair one-at-a-time strategy; the `rng` parameter switches to a
 randomised one-move-at-a-time strategy so tests can confirm that.
+
+`perform_dldr` gives (next state, reply) of every action in one call.
+A safe (sd) or unsafe (ud) disposal variant evaluates its basic action's
+guard once and replies as it.  When that fires a priority-1 row the state
+stays unchanged, which shields disposal from non-deterministic operands;
+otherwise the displaced atom is disposed of, after ud clears every other
+reference to it.
 """
 
 from __future__ import annotations
 
 from .actions import Act
-from .linkage import FLD, PFLD, SPOT, VAL, DataLinkage, pflink
-from .semantics import (Scan, _spot_def, _spot_nondet, _field_state, effect,
-                        yield_)
+from .linkage import FLD, SPOT, DataLinkage, pflink
+from .semantics import Scan, _apply, _spot_def, guard, perform
+from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
 
 
 def _anchor(link) -> str:
@@ -124,96 +131,36 @@ def clear_refs(d: str, l: DataLinkage) -> DataLinkage:
 
 # --- dispatch for the extended action set -----------------------------------
 
-_UNDERLYING = {
-    "sdgetatobj": "getatobj", "sdsetspot": "setspot", "sdclrspot": "clrspot",
-    "sdsetfield": "setfield", "sdclrfield": "clrfield", "sdgetfield": "getfield",
-    "udgetatobj": "getatobj", "udsetspot": "setspot", "udclrspot": "clrspot",
-    "udsetfield": "setfield", "udclrfield": "clrfield", "udgetfield": "getfield",
-}
-
-
-def _spot_target_any(scan: Scan, s: str):
-    """First spot target in scan order; the disposal pattern binds one
-    even on non-deterministic spots (the outcome does not depend on
-    which, since such states are left unchanged and fully reachable)."""
-    ts = scan.spot.get(s)
-    return ts[0] if ts else None
-
-
-def _field_target_any(scan: Scan, s: str, f: str):
-    a = _spot_target_any(scan, s)
-    if a is None:
-        return None
-    targets = scan.fl.get((a, f))
-    return targets[0] if targets else None
-
-
-def _ud_shielded(scan: Scan, act: Act) -> bool:
-    """Extra priority-1 rows of the unsafe-disposal actions."""
-    name, args = act.name, act.args
-    if name == "udgetatobj" or name == "udclrspot":
-        return _spot_nondet(scan, args[0])
-    if name == "udsetspot":
-        return _spot_nondet(scan, args[0]) or _spot_nondet(scan, args[1])
-    if name in ("udsetfield", "udclrfield"):
-        s, f = args[0], args[1]
-        if _spot_nondet(scan, s):
-            return True
-        a = _spot_def(scan, s)
-        if a is not None:
-            targets, has_pf = _field_state(scan, a, f)
-            if len(targets) >= 2 or (targets and has_pf):
-                return True
-        if name == "udsetfield" and _spot_nondet(scan, args[2]):
-            return True
-        return False
-    # udgetfield
-    s, t, f = args
-    if _spot_nondet(scan, s) or _spot_nondet(scan, t):
-        return True
-    a = _spot_def(scan, t)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2 or (targets and has_pf):
-            return True
-    return False
-
-
-def _displaced_atom(scan: Scan, act: Act):
-    """Atom the action displaces: the old spot content for the spot
-    variants and getfield variants, the old field content for the field
-    variants.  None when the disposal pattern does not match."""
-    name, args = act.name, act.args
-    if name in ("sdgetatobj", "sdsetspot", "sdclrspot", "sdgetfield",
-                "udgetatobj", "udsetspot", "udclrspot", "udgetfield"):
-        return _spot_target_any(scan, args[0])
-    return _field_target_any(scan, args[0], args[1])
+def perform_dldr(act: Act, l: DataLinkage, rng=None):
+    """(next state, reply) of any action, basic or reclamation."""
+    if act.is_basic:
+        return perform(act, l)
+    if act.name == "fgc":
+        return fgc(l, rng), True
+    if act.name == "rgc":
+        return rgc(l, rng), True
+    scan = Scan(l)
+    under = act.underlying
+    reply, erow, _, _, drop, add = guard(under, l, scan)
+    if erow[1] == "1":
+        return l, reply
+    state = _apply(l, drop, add)
+    # the displaced atom: the old content of the first spot or, for
+    # setfield/clrfield, of its field; both unique once no shield fired
+    d = _spot_def(scan, act.args[0])
+    if d is not None and under.name in ("setfield", "clrfield"):
+        targets = scan.fl.get((d, act.args[1]))
+        d = targets[0] if targets else None
+    if d is None:
+        return state, reply
+    if act.name.startswith("ud"):
+        state = clear_refs(d, state)
+    return safe_dispose(d, state, rng), reply
 
 
 def effect_dldr(act: Act, l: DataLinkage, rng=None) -> DataLinkage:
-    if act.is_basic:
-        return effect(act, l)
-    if act.name == "fgc":
-        return fgc(l, rng)
-    if act.name == "rgc":
-        return rgc(l, rng)
-    scan = Scan(l)
-    unsafe = act.name.startswith("ud")
-    if unsafe and _ud_shielded(scan, act):
-        return l
-    d = _displaced_atom(scan, act)
-    under = Act(_UNDERLYING[act.name], act.args)
-    if d is None:
-        return effect(under, l, scan)
-    state = effect(under, l, scan)
-    if unsafe:
-        state = clear_refs(d, state)
-    return safe_dispose(d, state, rng)
+    return perform_dldr(act, l, rng)[0]
 
 
 def yield_dldr(act: Act, l: DataLinkage) -> bool:
-    if act.is_basic:
-        return yield_(act, l)
-    if act.name in ("fgc", "rgc"):
-        return True
-    return yield_(Act(_UNDERLYING[act.name], act.args), l)
+    return perform_dldr(act, l)[1]

@@ -12,7 +12,8 @@ from .actions import Act
 from .errors import NonDeterministicState
 from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, pflink,
                       slink, valass)
-from .reclaim import effect_dldr, yield_dldr
+from .reclaim import perform_dldr
+from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
 from .set_model import (SetState, effect_set_reclaim, is_tight,
                         yield_set_reclaim)
 from .universe import Universe
@@ -84,8 +85,7 @@ def check_commutation(act: Act, st: SetState) -> CommutationVerdict:
     """Does the action commute with retrieve?  Both the resulting state
     (as a canonical linkage) and the reply must agree."""
     l = retrieve(st)
-    rewrite_state = effect_dldr(act, l)
-    rewrite_reply = yield_dldr(act, l)
+    rewrite_state, rewrite_reply = perform_dldr(act, l)
     set_state = retrieve(effect_set_reclaim(act, st))
     set_reply = yield_set_reclaim(act, st)
     passed = rewrite_state == set_state and rewrite_reply == set_reply

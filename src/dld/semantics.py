@@ -1,14 +1,20 @@
 """Effect and yield of the basic actions on canonical states.
 
-Each action is evaluated by testing guards in strictly descending
-priority and taking the first row that matches; this is sound because a
-row is enabled exactly when no higher-priority row matches the same
-state.  Priority-1 rows shield against locally non-deterministic
-operands: they leave the state unchanged and reply False.  Pattern
-positions match set-wise, so distinct positions may bind the same link
-(equaltst(s,s) on a defined spot matches its single spot link twice).
+One rewrite system gives both the next state and the reply of an action,
+so each action has one guard function: it tests the action's rows in
+strictly descending priority and takes the first that matches, which is
+sound because a row is enabled exactly when no higher-priority row
+matches the same state.  It returns (reply, effect row, yield row,
+bindings, link dropped, link added); either link may be None, and a
+row's priority is the digit of its `pN.` label.  Priority-1 rows shield
+against locally non-deterministic operands: they leave the state
+unchanged and reply False.  Pattern positions match set-wise, so
+distinct positions may bind the same link (equaltst(s,s) on a defined
+spot matches its single spot link twice).
 
-Every evaluation reports which row fired (RuleFire) for observability.
+`perform` gives (next state, reply) from one scan and one guard call;
+`effect` and `yield_` project it, and `evaluate` and `step` also report
+the fired rows as RuleFires for observability.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import Act
-from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, override_key,
-                      pflink, slink, valass)
+from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, pflink,
+                      slink, valass)
 from .meadow import Meadow
 
 
@@ -79,30 +85,26 @@ class StepOutcome:
     fired: tuple
 
 
-def _override1(l: DataLinkage, link) -> DataLinkage:
-    key = override_key(link)
-    kept = [x for x in l.iter_links() if override_key(x) != key]
-    kept.append(link)
+def _apply(l: DataLinkage, drop, add) -> DataLinkage:
+    """The state with one link dropped and one added (None: no link)."""
+    if drop is None and add is None:
+        return l
+    kept = [x for x in l.iter_links() if x != drop]
+    if add is not None:
+        kept.append(add)
     return l.with_links(kept)
 
 
-def _without(l: DataLinkage, *links) -> DataLinkage:
-    drop = set(links)
-    return l.with_links([x for x in l.iter_links() if x not in drop])
+def _keep(reply, row, bindings):
+    """A row that leaves the state unchanged; one name for effect and yield."""
+    return reply, row, row, bindings, None, None
 
 
-def _replace(l: DataLinkage, old, new) -> DataLinkage:
-    out = [x for x in l.iter_links() if x != old]
-    out.append(new)
-    return l.with_links(out)
+def _shield(row, bindings):
+    return _keep(False, row, bindings)
 
 
-def _pair(values):
-    a, b = sorted(values)[:2]
-    return a, b
-
-
-# --- shield guards ----------------------------------------------------------
+# --- guard helpers -----------------------------------------------------------
 
 def _spot_nondet(scan, s):
     return len(scan.spot.get(s, ())) >= 2
@@ -128,487 +130,315 @@ def _spot_value_nondet(scan, s):
 
 
 def _field_state(scan, a, f):
-    """(flink targets, partial present) at position (a, f)."""
+    """(flink targets, partial present) at position (a, f); a may be None."""
     return scan.fl.get((a, f), ()), (a, f) in scan.pf
 
 
-def _field_conflict(scan, s, f):
-    """Two field links, or a field link next to a partial link, at the
-    (content-of-s, f) position; returns the matched atom or None."""
-    for a in scan.spot.get(s, ()):
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2 or (targets and has_pf):
-            return a
+def _field_shield(a, f, targets, has_pf):
+    """Priority-1 rows on a non-deterministic field position."""
+    if len(targets) >= 2:
+        b, c = sorted(targets)[:2]
+        return _shield("p1.flink-nondet", {"a": a, "f": f, "b": b, "c": c})
+    if targets and has_pf:
+        return _shield("p1.flink-pflink", {"a": a, "f": f, "b": targets[0]})
     return None
 
 
-# --- effect rows ------------------------------------------------------------
-
-def _eff_getatobj(l, scan, act):
-    (s,) = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.spot-nondet", 1, {"s": s}
-    fresh = l.universe.choose_fresh(scan.atoms)
-    if fresh is None:
-        return l, "p2.exhausted", 2, {"s": s}
-    return _override1(l, slink(s, fresh)), "p2.alloc", 2, {"s": s, "a": fresh}
-
-
-def _eff_setspot(l, scan, act):
-    s, t = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    if _spot_nondet(scan, t):
-        return l, "p1.t-nondet", 1, {"t": t}
-    a = _spot_def(scan, t)
-    if a is not None:
-        return _override1(l, slink(s, a)), "p2.copy", 2, {"s": s, "t": t, "a": a}
-    b = _spot_def(scan, s)
-    if b is not None:
-        return _without(l, slink(s, b)), "p3.clear", 3, {"s": s, "a": b}
-    return l, "p4.id", 4, {}
-
-
-def _eff_clrspot(l, scan, act):
-    (s,) = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    a = _spot_def(scan, s)
-    if a is not None:
-        return _without(l, slink(s, a)), "p2.clear", 2, {"s": s, "a": a}
-    return l, "p3.id", 3, {}
-
-
-def _eff_identity(row):
-    def eff(l, scan, act):
-        return l, row, 1, {}
-    return eff
-
-
-def _eff_addfield(l, scan, act):
-    s, f = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    a = _spot_def(scan, s)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if targets:
-            return l, "p2.has-flink", 2, {"a": a, "f": f, "b": sorted(targets)[0]}
-        if has_pf:
-            return l, "p2.has-pflink", 2, {"a": a, "f": f}
-        return _override1(l, pflink(a, f)), "p3.add", 3, {"a": a, "f": f}
-    return l, "p4.id", 4, {}
-
-
-def _eff_rmvfield(l, scan, act):
-    s, f = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    a = _spot_def(scan, s)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2:
-            b, c = _pair(targets)
-            return l, "p1.flink-nondet", 1, {"a": a, "f": f, "b": b, "c": c}
-        if targets and has_pf:
-            return l, "p1.flink-pflink", 1, {"a": a, "f": f, "b": targets[0]}
-        if targets:
-            return (_without(l, flink(a, f, targets[0])), "p2.rmv-flink", 2,
-                    {"a": a, "f": f, "b": targets[0]})
-        if has_pf:
-            return _without(l, pflink(a, f)), "p2.rmv-pflink", 2, {"a": a, "f": f}
-    return l, "p3.id", 3, {}
-
-
-def _eff_setfield(l, scan, act):
-    s, f, t = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    a = _spot_def(scan, s)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2:
-            b, c = _pair(targets)
-            return l, "p1.flink-nondet", 1, {"a": a, "f": f, "b": b, "c": c}
-        if targets and has_pf:
-            return l, "p1.flink-pflink", 1, {"a": a, "f": f, "b": targets[0]}
-    else:
-        targets, has_pf = (), False
-    if _spot_nondet(scan, t):
-        return l, "p1.t-nondet", 1, {"t": t}
-    if a is not None:
-        c = _spot_def(scan, t)
-        if targets and c is not None:
-            return (_replace(l, flink(a, f, targets[0]), flink(a, f, c)),
-                    "p2.retarget", 2, {"a": a, "f": f, "b": targets[0], "c": c})
-        if has_pf and c is not None:
-            return (_replace(l, pflink(a, f), flink(a, f, c)),
-                    "p2.fill", 2, {"a": a, "f": f, "b": c})
-        if targets:
-            return (_replace(l, flink(a, f, targets[0]), pflink(a, f)),
-                    "p3.unset", 3, {"a": a, "f": f, "b": targets[0]})
-    return l, "p4.id", 4, {}
-
-
-def _eff_clrfield(l, scan, act):
-    s, f = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    a = _spot_def(scan, s)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2:
-            b, c = _pair(targets)
-            return l, "p1.flink-nondet", 1, {"a": a, "f": f, "b": b, "c": c}
-        if targets and has_pf:
-            return l, "p1.flink-pflink", 1, {"a": a, "f": f, "b": targets[0]}
-        if targets:
-            return (_replace(l, flink(a, f, targets[0]), pflink(a, f)),
-                    "p2.clear", 2, {"a": a, "f": f, "b": targets[0]})
-    return l, "p3.id", 3, {}
-
-
-def _eff_getfield(l, scan, act):
-    s, t, f = act.args
-    if _spot_nondet(scan, s):
-        return l, "p1.s-nondet", 1, {"s": s}
-    if _spot_nondet(scan, t):
-        return l, "p1.t-nondet", 1, {"t": t}
-    a = _spot_def(scan, t)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2:
-            b, c = _pair(targets)
-            return l, "p1.flink-nondet", 1, {"a": a, "f": f, "b": b, "c": c}
-        if targets and has_pf:
-            return l, "p1.flink-pflink", 1, {"a": a, "f": f, "b": targets[0]}
-        if targets:
-            return (_override1(l, slink(s, targets[0])), "p2.fetch", 2,
-                    {"s": s, "a": a, "f": f, "b": targets[0]})
-        if has_pf:
-            c = _spot_def(scan, s)
-            if c is not None:
-                return (_without(l, slink(s, c)), "p2.undefine", 2,
-                        {"s": s, "a": a, "f": f, "c": c})
-    return l, "p3.id", 3, {}
-
-
-def _eff_assconst(which, const_of):
-    def eff(l, scan, act):
-        (s,) = act.args
+def _value_shields(scan, spots):
+    """Priority-1 rows of the value actions, named by operand position."""
+    for pos, s in zip("stu", spots):
         if _spot_nondet(scan, s):
-            return l, "p1.s-nondet", 1, {"s": s}
-        a2 = _spot_value_nondet(scan, s)
-        if a2 is not None:
-            n, m = _pair(_vals(scan, a2))
-            return l, "p1.val-nondet", 1, {"a": a2, "n": n, "m": m}
-        a = _spot_def(scan, s)
-        if a is not None:
-            n = const_of(Meadow(l.universe.modulus))
-            return _override1(l, valass(a, n)), f"p2.{which}", 2, {"a": a, "n": n}
-        return l, "p3.id", 3, {}
-    return eff
-
-
-def _value_shields(l, scan, spots):
-    """Shared priority-1 rows of the value actions, in table order."""
-    for s in spots:
-        if _spot_nondet(scan, s):
-            return l, f"p1.{s}-spot-nondet", 1, {"s": s}
+            return _shield(f"p1.{pos}-spot-nondet", {"s": s})
         a = _spot_value_nondet(scan, s)
         if a is not None:
-            n, m = _pair(_vals(scan, a))
-            return l, f"p1.{s}-val-nondet", 1, {"s": s, "a": a, "n": n, "m": m}
+            n, m = sorted(_vals(scan, a))[:2]
+            return _shield(f"p1.{pos}-val-nondet",
+                           {"s": s, "a": a, "n": n, "m": m})
     return None
 
 
-def _eff_assbin(which):
-    def eff(l, scan, act):
-        s, t, u = act.args
-        shield = _value_shields(l, scan, (s, t, u))
-        if shield is not None:
-            return shield
-        a = _spot_def(scan, s)
-        b = _spot_def(scan, t)
-        c = _spot_def(scan, u)
-        if a is not None and b is not None and c is not None:
-            vb = _vals(scan, b)
-            vc = _vals(scan, c)
-            if vb and vc:
-                md = Meadow(l.universe.modulus)
-                n = md.add(vb[0], vc[0]) if which == "add" else md.mul(vb[0], vc[0])
-                return (_override1(l, valass(a, n)), f"p2.{which}", 2,
-                        {"a": a, "n": vb[0], "m": vc[0], "result": n})
-        return l, "p3.id", 3, {}
-    return eff
+def _test(guard):
+    """A test action: the guard's reply and yield row; the state stays."""
+    def test(u, scan, *args):
+        reply, _, yrow, bindings, _, _ = guard(u, scan, *args)
+        return reply, "p1.id", yrow, bindings, None, None
+    return test
 
 
-def _eff_assun(which):
-    def eff(l, scan, act):
-        s, t = act.args
-        shield = _value_shields(l, scan, (s, t))
-        if shield is not None:
-            return shield
-        a = _spot_def(scan, s)
-        b = _spot_def(scan, t)
-        if a is not None and b is not None:
-            vb = _vals(scan, b)
-            if vb:
-                md = Meadow(l.universe.modulus)
-                n = md.neg(vb[0]) if which == "neg" else md.inv(vb[0])
-                return (_override1(l, valass(a, n)), f"p2.{which}", 2,
-                        {"a": a, "n": vb[0], "result": n})
-        return l, "p3.id", 3, {}
-    return eff
+def _old_spot(s, a):
+    """The spot link a change of s drops: s:a, or None when s is undefined."""
+    return None if a is None else slink(s, a)
 
 
-EFFECT_ROWS = {
-    "getatobj": _eff_getatobj,
-    "setspot": _eff_setspot,
-    "clrspot": _eff_clrspot,
-    "equaltst": _eff_identity("p1.id"),
-    "undeftst": _eff_identity("p1.id"),
-    "addfield": _eff_addfield,
-    "rmvfield": _eff_rmvfield,
-    "hasfield": _eff_identity("p1.id"),
-    "setfield": _eff_setfield,
-    "clrfield": _eff_clrfield,
-    "getfield": _eff_getfield,
-    "asszero": _eff_assconst("zero", lambda md: md.zero()),
-    "assone": _eff_assconst("one", lambda md: md.one()),
-    "assadd": _eff_assbin("add"),
-    "assmul": _eff_assbin("mul"),
-    "assneg": _eff_assun("neg"),
-    "assinv": _eff_assun("inv"),
-    "eqvaltst": _eff_identity("p1.id"),
-    "undefvtst": _eff_identity("p1.id"),
-}
+# --- one guard per action ----------------------------------------------------
 
-
-# --- yield rows -------------------------------------------------------------
-
-def _yld_getatobj(l, scan, act):
-    (s,) = act.args
+def _getatobj(u, scan, s):
     if _spot_nondet(scan, s):
-        return False, "p1.spot-nondet", 1, {"s": s}
-    if l.universe.choose_fresh(scan.atoms) is not None:
-        return True, "p2.alloc", 2, {}
-    return False, "p2.exhausted", 2, {}
+        return _shield("p1.spot-nondet", {"s": s})
+    fresh = u.choose_fresh(scan.atoms)
+    if fresh is None:
+        return _keep(False, "p2.exhausted", {"s": s})
+    return (True, "p2.alloc", "p2.alloc", {"s": s, "a": fresh},
+            _old_spot(s, _spot_def(scan, s)), slink(s, fresh))
 
 
-def _yld_setspot(l, scan, act):
-    s, t = act.args
+def _setspot(u, scan, s, t):
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
+        return _shield("p1.s-nondet", {"s": s})
     if _spot_nondet(scan, t):
-        return False, "p1.t-nondet", 1, {"t": t}
-    return True, "p2.true", 2, {}
+        return _shield("p1.t-nondet", {"t": t})
+    a = _spot_def(scan, t)
+    b = _spot_def(scan, s)
+    if a is not None:
+        return (True, "p2.copy", "p2.true", {"s": s, "t": t, "a": a},
+                _old_spot(s, b), slink(s, a))
+    if b is not None:
+        return True, "p3.clear", "p2.true", {"s": s, "a": b}, slink(s, b), None
+    return True, "p4.id", "p2.true", {}, None, None
 
 
-def _yld_clrspot(l, scan, act):
-    (s,) = act.args
+def _clrspot(u, scan, s):
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
-    return True, "p2.true", 2, {}
+        return _shield("p1.s-nondet", {"s": s})
+    a = _spot_def(scan, s)
+    if a is not None:
+        return True, "p2.clear", "p2.true", {"s": s, "a": a}, slink(s, a), None
+    return True, "p3.id", "p2.true", {}, None, None
 
 
-def _yld_equaltst(l, scan, act):
-    s, t = act.args
+def _equaltst(u, scan, s, t):
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
+        return _shield("p1.s-nondet", {"s": s})
     if _spot_nondet(scan, t):
-        return False, "p1.t-nondet", 1, {"t": t}
+        return _shield("p1.t-nondet", {"t": t})
     a = _spot_def(scan, s)
     b = _spot_def(scan, t)
     if a is not None and a == b:
-        return True, "p2.equal", 2, {"a": a}
+        return _keep(True, "p2.equal", {"a": a})
     if a is not None:
-        return False, "p3.s-defined", 3, {"a": a}
+        return _keep(False, "p3.s-defined", {"a": a})
     if b is not None:
-        return False, "p3.t-defined", 3, {"a": b}
-    return True, "p4.both-undefined", 4, {}
+        return _keep(False, "p3.t-defined", {"a": b})
+    return _keep(True, "p4.both-undefined", {})
 
 
-def _yld_undeftst(l, scan, act):
-    (s,) = act.args
+def _undeftst(u, scan, s):
     if scan.spot.get(s):
-        return False, "p1.defined", 1, {"s": s}
-    return True, "p2.undefined", 2, {"s": s}
+        return _keep(False, "p1.defined", {"s": s})
+    return _keep(True, "p2.undefined", {"s": s})
 
 
-def _yld_addfield(l, scan, act):
-    s, f = act.args
+def _addfield(u, scan, s, f):
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
+        return _shield("p1.s-nondet", {"s": s})
     a = _spot_def(scan, s)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if targets:
-            return False, "p2.has-flink", 2, {"a": a, "f": f}
-        if has_pf:
-            return False, "p2.has-pflink", 2, {"a": a, "f": f}
-        return True, "p3.ok", 3, {"a": a, "f": f}
-    return False, "p4.undefined", 4, {}
+    if a is None:
+        return False, "p4.id", "p4.undefined", {}, None, None
+    targets, has_pf = _field_state(scan, a, f)
+    if targets:
+        return _keep(False, "p2.has-flink", {"a": a, "f": f, "b": min(targets)})
+    if has_pf:
+        return _keep(False, "p2.has-pflink", {"a": a, "f": f})
+    return True, "p3.add", "p3.ok", {"a": a, "f": f}, None, pflink(a, f)
 
 
-def _yld_field_test(name):
-    """Shared shape of rmvfield/hasfield/setfield/clrfield yields."""
-    has_t = name == "setfield"
-
-    def yld(l, scan, act):
-        s, f = act.args[0], act.args[1]
-        if _spot_nondet(scan, s):
-            return False, "p1.s-nondet", 1, {"s": s}
-        a = _spot_def(scan, s)
-        targets, has_pf = ((), False) if a is None else _field_state(scan, a, f)
-        if len(targets) >= 2:
-            return False, "p1.flink-nondet", 1, {"a": a, "f": f}
-        if targets and has_pf:
-            return False, "p1.flink-pflink", 1, {"a": a, "f": f}
-        if has_t and _spot_nondet(scan, act.args[2]):
-            return False, "p1.t-nondet", 1, {"t": act.args[2]}
-        if targets:
-            return True, "p2.flink", 2, {"a": a, "f": f}
-        if has_pf:
-            return True, "p2.pflink", 2, {"a": a, "f": f}
-        return False, "p3.default", 3, {}
-    return yld
-
-
-def _yld_getfield(l, scan, act):
-    s, t, f = act.args
+def _field_at(scan, s, f, pos="s"):
+    """Shield rows on field f of the content of s, the operand at
+    position pos; else None, the content and the field's state."""
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
+        return _shield(f"p1.{pos}-nondet", {pos: s}), None, (), False
+    a = _spot_def(scan, s)
+    targets, has_pf = _field_state(scan, a, f)
+    return _field_shield(a, f, targets, has_pf), a, targets, has_pf
+
+
+def _rmvfield(u, scan, s, f):
+    shield, a, targets, has_pf = _field_at(scan, s, f)
+    if shield is not None:
+        return shield
+    if targets:
+        b = targets[0]
+        return (True, "p2.rmv-flink", "p2.flink", {"a": a, "f": f, "b": b},
+                flink(a, f, b), None)
+    if has_pf:
+        return (True, "p2.rmv-pflink", "p2.pflink", {"a": a, "f": f},
+                pflink(a, f), None)
+    return False, "p3.id", "p3.default", {}, None, None
+
+
+def _setfield(u, scan, s, f, t):
+    shield, a, targets, has_pf = _field_at(scan, s, f)
+    if shield is not None:
+        return shield
     if _spot_nondet(scan, t):
-        return False, "p1.t-nondet", 1, {"t": t}
-    a = _spot_def(scan, t)
-    if a is not None:
-        targets, has_pf = _field_state(scan, a, f)
-        if len(targets) >= 2:
-            return False, "p1.flink-nondet", 1, {"a": a, "f": f}
-        if targets and has_pf:
-            return False, "p1.flink-pflink", 1, {"a": a, "f": f}
-        if targets:
-            return True, "p2.flink", 2, {"a": a, "f": f}
-        if has_pf:
-            return True, "p2.pflink", 2, {"a": a, "f": f}
-    return False, "p3.default", 3, {}
+        return _shield("p1.t-nondet", {"t": t})
+    c = _spot_def(scan, t)
+    if targets:
+        b = targets[0]
+        if c is not None:
+            return (True, "p2.retarget", "p2.flink",
+                    {"a": a, "f": f, "b": b, "c": c},
+                    flink(a, f, b), flink(a, f, c))
+        return (True, "p3.unset", "p2.flink", {"a": a, "f": f, "b": b},
+                flink(a, f, b), pflink(a, f))
+    if has_pf:
+        if c is not None:
+            return (True, "p2.fill", "p2.pflink", {"a": a, "f": f, "b": c},
+                    pflink(a, f), flink(a, f, c))
+        return True, "p4.id", "p2.pflink", {}, None, None
+    return False, "p4.id", "p3.default", {}, None, None
 
 
-def _yld_assconst(l, scan, act):
-    (s,) = act.args
+def _clrfield(u, scan, s, f):
+    shield, a, targets, has_pf = _field_at(scan, s, f)
+    if shield is not None:
+        return shield
+    if targets:
+        b = targets[0]
+        return (True, "p2.clear", "p2.flink", {"a": a, "f": f, "b": b},
+                flink(a, f, b), pflink(a, f))
+    if has_pf:
+        return True, "p3.id", "p2.pflink", {}, None, None
+    return False, "p3.id", "p3.default", {}, None, None
+
+
+def _getfield(u, scan, s, t, f):
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
-    a = _spot_value_nondet(scan, s)
-    if a is not None:
-        return False, "p1.val-nondet", 1, {"a": a}
-    if _spot_def(scan, s) is not None:
-        return True, "p2.ok", 2, {}
-    return False, "p3.default", 3, {}
-
-
-def _yld_assbin(l, scan, act):
-    s, t, u = act.args
-    shield = _value_shields(l, scan, (s, t, u))
+        return _shield("p1.s-nondet", {"s": s})
+    shield, a, targets, has_pf = _field_at(scan, t, f, "t")
     if shield is not None:
-        _, row, prio, bindings = shield
-        return False, row, prio, bindings
-    a = _spot_def(scan, s)
-    b = _spot_def(scan, t)
-    c = _spot_def(scan, u)
-    if (a is not None and b is not None and c is not None
-            and _vals(scan, b) and _vals(scan, c)):
-        return True, "p2.ok", 2, {}
-    return False, "p3.default", 3, {}
+        return shield
+    c = _spot_def(scan, s)
+    if targets:
+        b = targets[0]
+        return (True, "p2.fetch", "p2.flink", {"s": s, "a": a, "f": f, "b": b},
+                _old_spot(s, c), slink(s, b))
+    if has_pf:
+        if c is not None:
+            return (True, "p2.undefine", "p2.pflink",
+                    {"s": s, "a": a, "f": f, "c": c}, slink(s, c), None)
+        return True, "p3.id", "p2.pflink", {}, None, None
+    return False, "p3.id", "p3.default", {}, None, None
 
 
-def _yld_assun(l, scan, act):
-    s, t = act.args
-    shield = _value_shields(l, scan, (s, t))
+def _assign(a, vals, n):
+    """Drop a's value (at most one: the shields saw to that), add n."""
+    return (valass(a, vals[0]) if vals else None), valass(a, n)
+
+
+def _assconst(which, const_of):
+    def guard(u, scan, s):
+        if _spot_nondet(scan, s):
+            return _shield("p1.s-nondet", {"s": s})
+        a2 = _spot_value_nondet(scan, s)
+        if a2 is not None:
+            n, m = sorted(_vals(scan, a2))[:2]
+            return _shield("p1.val-nondet", {"a": a2, "n": n, "m": m})
+        a = _spot_def(scan, s)
+        if a is None:
+            return False, "p3.id", "p3.default", {}, None, None
+        n = const_of(Meadow(u.modulus))
+        return (True, f"p2.{which}", "p2.ok", {"a": a, "n": n},
+                *_assign(a, _vals(scan, a), n))
+    return guard
+
+
+def _arith(which):
+    """assadd/assmul (two operands), assneg/assinv (one): the meadow
+    operation on the operands' values goes to s's content."""
+    op = getattr(Meadow, which)
+
+    def guard(u, scan, s, *operands):
+        shield = _value_shields(scan, (s,) + operands)
+        if shield is not None:
+            return shield
+        a = _spot_def(scan, s)
+        values = [_vals(scan, _spot_def(scan, t)) for t in operands]
+        if a is not None and all(values):
+            ins = [v[0] for v in values]
+            n = op(Meadow(u.modulus), *ins)
+            return (True, f"p2.{which}", "p2.ok",
+                    {"a": a, **dict(zip("nm", ins)), "result": n},
+                    *_assign(a, _vals(scan, a), n))
+        return False, "p3.id", "p3.default", {}, None, None
+    return guard
+
+
+def _eqvaltst(u, scan, s, t):
+    shield = _value_shields(scan, (s, t))
     if shield is not None:
-        _, row, prio, bindings = shield
-        return False, row, prio, bindings
-    a = _spot_def(scan, s)
-    b = _spot_def(scan, t)
-    if a is not None and b is not None and _vals(scan, b):
-        return True, "p2.ok", 2, {}
-    return False, "p3.default", 3, {}
+        return shield
+    va = _vals(scan, _spot_def(scan, s))
+    vb = _vals(scan, _spot_def(scan, t))
+    if va and vb and va[0] == vb[0]:
+        return _keep(True, "p2.equal", {"n": va[0]})
+    return _keep(False, "p3.default", {})
 
 
-def _yld_eqvaltst(l, scan, act):
-    s, t = act.args
-    shield = _value_shields(l, scan, (s, t))
-    if shield is not None:
-        _, row, prio, bindings = shield
-        return False, row, prio, bindings
-    a = _spot_def(scan, s)
-    b = _spot_def(scan, t)
-    if a is not None and b is not None:
-        va = _vals(scan, a)
-        vb = _vals(scan, b)
-        if va and vb and va[0] == vb[0]:
-            return True, "p2.equal", 2, {"n": va[0]}
-    return False, "p3.default", 3, {}
-
-
-def _yld_undefvtst(l, scan, act):
-    (s,) = act.args
+def _undefvtst(u, scan, s):
     if _spot_nondet(scan, s):
-        return False, "p1.s-nondet", 1, {"s": s}
+        return _shield("p1.s-nondet", {"s": s})
     a = _spot_def(scan, s)
-    if a is not None:
-        if _vals(scan, a):
-            return False, "p2.has-value", 2, {"a": a}
-        return True, "p3.no-value", 3, {"a": a}
-    return False, "p4.undefined", 4, {}
+    if a is None:
+        return _keep(False, "p4.undefined", {})
+    if _vals(scan, a):
+        return _keep(False, "p2.has-value", {"a": a})
+    return _keep(True, "p3.no-value", {"a": a})
 
 
-YIELD_ROWS = {
-    "getatobj": _yld_getatobj,
-    "setspot": _yld_setspot,
-    "clrspot": _yld_clrspot,
-    "equaltst": _yld_equaltst,
-    "undeftst": _yld_undeftst,
-    "addfield": _yld_addfield,
-    "rmvfield": _yld_field_test("rmvfield"),
-    "hasfield": _yld_field_test("hasfield"),
-    "setfield": _yld_field_test("setfield"),
-    "clrfield": _yld_field_test("clrfield"),
-    "getfield": _yld_getfield,
-    "asszero": _yld_assconst,
-    "assone": _yld_assconst,
-    "assadd": _yld_assbin,
-    "assmul": _yld_assbin,
-    "assneg": _yld_assun,
-    "assinv": _yld_assun,
-    "eqvaltst": _yld_eqvaltst,
-    "undefvtst": _yld_undefvtst,
+GUARDS = {
+    "getatobj": _getatobj,
+    "setspot": _setspot,
+    "clrspot": _clrspot,
+    "equaltst": _test(_equaltst),
+    "undeftst": _test(_undeftst),
+    "addfield": _addfield,
+    "rmvfield": _rmvfield,
+    "hasfield": _test(_rmvfield),
+    "setfield": _setfield,
+    "clrfield": _clrfield,
+    "getfield": _getfield,
+    "asszero": _assconst("zero", lambda md: md.zero()),
+    "assone": _assconst("one", lambda md: md.one()),
+    "assadd": _arith("add"),
+    "assmul": _arith("mul"),
+    "assneg": _arith("neg"),
+    "assinv": _arith("inv"),
+    "eqvaltst": _test(_eqvaltst),
+    "undefvtst": _test(_undefvtst),
 }
 
 
-# --- public surface ---------------------------------------------------------
+# --- public surface ----------------------------------------------------------
 
-def evaluate(act: Act, l: DataLinkage, scan: Scan | None = None):
-    """(next state, reply, effect RuleFire, yield RuleFire) in one pass."""
+def guard(act: Act, l: DataLinkage, scan: Scan | None = None) -> tuple:
+    """(reply, effect row, yield row, bindings, link dropped, link added)
+    of the first row of the basic action that matches the state."""
     if scan is None:
         scan = Scan(l)
-    state, erow, eprio, ebind = EFFECT_ROWS[act.name](l, scan, act)
-    reply, yrow, yprio, ybind = YIELD_ROWS[act.name](l, scan, act)
-    return (state, reply,
-            RuleFire(act, f"eff.{act.name}.{erow}", eprio, ebind),
-            RuleFire(act, f"yld.{act.name}.{yrow}", yprio, ybind))
+    return GUARDS[act.name](l.universe, scan, *act.args)
+
+
+def perform(act: Act, l: DataLinkage, scan: Scan | None = None):
+    """(next state, reply) of a basic action."""
+    reply, _, _, _, drop, add = guard(act, l, scan)
+    return _apply(l, drop, add), reply
 
 
 def effect(act: Act, l: DataLinkage, scan: Scan | None = None) -> DataLinkage:
-    if scan is None:
-        scan = Scan(l)
-    return EFFECT_ROWS[act.name](l, scan, act)[0]
+    return perform(act, l, scan)[0]
 
 
 def yield_(act: Act, l: DataLinkage, scan: Scan | None = None) -> bool:
-    if scan is None:
-        scan = Scan(l)
-    return YIELD_ROWS[act.name](l, scan, act)[0]
+    return guard(act, l, scan)[0]
+
+
+def evaluate(act: Act, l: DataLinkage, scan: Scan | None = None):
+    """(next state, reply, effect RuleFire, yield RuleFire) in one pass."""
+    reply, erow, yrow, bindings, drop, add = guard(act, l, scan)
+    return (_apply(l, drop, add), reply,
+            RuleFire(act, f"eff.{act.name}.{erow}", int(erow[1]), bindings),
+            RuleFire(act, f"yld.{act.name}.{yrow}", int(yrow[1]), bindings))
 
 
 def step(act: Act, l: DataLinkage) -> StepOutcome:
@@ -616,40 +446,29 @@ def step(act: Act, l: DataLinkage) -> StepOutcome:
     return StepOutcome(state, reply, (efire, yfire))
 
 
-# --- locally deterministic accessors ----------------------------------------
+# --- locally deterministic accessors -----------------------------------------
+
+def _unique(found):
+    """None when nothing was found, NONDET when several differ."""
+    if not found:
+        return None
+    return found[0] if len(set(found)) == 1 else NONDET
+
 
 def spot_content(l: DataLinkage, s: str):
     """Unique target of spot s, None when undefined, NONDET when several."""
-    targets = Scan(l).spot.get(s, ())
-    if not targets:
-        return None
-    if len(set(targets)) == 1:
-        return targets[0]
-    return NONDET
+    return _unique([x[2] for x in l.iter_links() if x[0] == SPOT and x[1] == s])
 
 
 def fields_of(l: DataLinkage, a: str) -> frozenset:
-    out = set()
-    for link in l.iter_links():
-        if link[0] in (PFLD, FLD) and link[1] == a:
-            out.add(link[2])
-    return frozenset(out)
+    return frozenset(x[2] for x in l.iter_links()
+                     if x[0] in (PFLD, FLD) and x[1] == a)
 
 
 def field_content(l: DataLinkage, a: str, f: str):
-    scan = Scan(l)
-    targets, has_pf = _field_state(scan, a, f)
-    if len(set(targets)) >= 2 or (targets and has_pf):
-        return NONDET
-    if targets:
-        return targets[0]
-    return None
+    targets, has_pf = _field_state(Scan(l), a, f)
+    return NONDET if targets and has_pf else _unique(targets)
 
 
 def value_of(l: DataLinkage, a: str):
-    values = Scan(l).val.get(a, ())
-    if not values:
-        return None
-    if len(set(values)) == 1:
-        return values[0]
-    return NONDET
+    return _unique([x[2] for x in l.iter_links() if x[0] == VAL and x[1] == a])

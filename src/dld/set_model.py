@@ -322,16 +322,16 @@ def effect_set_reclaim(act: Act, st: SetState, *, rgc_literal: bool = False) -> 
         return effect_set(act, st)
     if name in ("sdgetatobj", "sdsetspot", "sdclrspot", "sdgetfield"):
         d = st.sigma[args[0]]
-        return sd_set(d, effect_set(Act(_SET_UNDER[name], args), st))
+        return sd_set(d, effect_set(act.underlying, st))
     if name in ("sdsetfield", "sdclrfield"):
         d = _old_field_content(st, args[0], args[1])
-        return sd_set(d, effect_set(Act(_SET_UNDER[name], args), st))
+        return sd_set(d, effect_set(act.underlying, st))
     if name in ("udgetatobj", "udsetspot", "udclrspot", "udgetfield"):
         d = st.sigma[args[0]]
-        return ud_set(d, effect_set(Act(_SET_UNDER[name], args), st))
+        return ud_set(d, effect_set(act.underlying, st))
     if name in ("udsetfield", "udclrfield"):
         d = _old_field_content(st, args[0], args[1])
-        return ud_set(d, effect_set(Act(_SET_UNDER[name], args), st))
+        return ud_set(d, effect_set(act.underlying, st))
     raise DldError(f"unknown action: {name}")
 
 
@@ -340,15 +340,7 @@ def yield_set_reclaim(act: Act, st: SetState) -> bool:
         return True
     if act.is_basic:
         return yield_set(act, st)
-    return yield_set(Act(_SET_UNDER[act.name], act.args), st)
-
-
-_SET_UNDER = {
-    "sdgetatobj": "getatobj", "sdsetspot": "setspot", "sdclrspot": "clrspot",
-    "sdsetfield": "setfield", "sdclrfield": "clrfield", "sdgetfield": "getfield",
-    "udgetatobj": "getatobj", "udsetspot": "setspot", "udclrspot": "clrspot",
-    "udsetfield": "setfield", "udclrfield": "clrfield", "udgetfield": "getfield",
-}
+    return yield_set(act.underlying, st)
 
 
 def _old_field_content(st: SetState, s: str, f: str):

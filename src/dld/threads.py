@@ -2,8 +2,9 @@
 
 A thread is deadlock, termination, or a postconditional composition:
 perform an action, continue left on reply True and right on False.  The
-internal action tau always takes the left branch.  Services process
-methods, reply True/False/Blocked, and once a service replies Blocked it
+internal action tau always takes the left branch.  A service processes a
+method in one call, `process`, which gives its reply (True, False or
+Blocked) and the successor service; once a service replies Blocked it
 stays blocked forever.
 """
 
@@ -16,8 +17,9 @@ from typing import Optional
 from .actions import BASIC_SIGNATURES, RECLAIM_SIGNATURES, Act
 from .errors import BudgetExhausted, DldError, NonDeterministicState, UnknownFocus
 from .linkage import DataLinkage
-from .reclaim import effect_dldr, fgc, yield_dldr
-from .semantics import effect, yield_
+from .reclaim import fgc, perform_dldr
+from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
+from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
 
 
 class _Terminal:
@@ -102,14 +104,17 @@ def _unfold(t: Thread, spec: Optional[ThreadSpec]) -> Thread:
 # --- services ----------------------------------------------------------------
 
 class Service:
-    """State machine interface: reply(m) in {True, False, BLOCKED} and
-    derive(m) for the successor service."""
+    """State machine interface: process(m) gives (reply, successor) with
+    the reply in {True, False, BLOCKED}; reply and derive project it."""
+
+    def process(self, method) -> tuple:
+        raise NotImplementedError
 
     def reply(self, method):
-        raise NotImplementedError
+        return self.process(method)[0]
 
     def derive(self, method) -> "Service":
-        raise NotImplementedError
+        return self.process(method)[1]
 
     def render(self) -> str:
         return repr(self)
@@ -124,7 +129,8 @@ class DldService(Service):
     variant "plain" accepts the basic actions, "dldr" also the
     reclamation actions, and "afgc" is dldr with every getatobj treated
     as a full collection followed by getatobj.  Any other method request
-    moves to the absorbing blocked state.
+    moves to the absorbing blocked state.  Every action keeps a state
+    deterministic, so only `dlds`, where a state enters, checks that.
     """
 
     VARIANTS = ("plain", "dldr", "afgc")
@@ -132,11 +138,6 @@ class DldService(Service):
     def __init__(self, state, variant: str = "plain"):
         if variant not in self.VARIANTS:
             raise DldError(f"unknown service variant {variant!r}")
-        if state is not _UNDEF:
-            if not isinstance(state, DataLinkage):
-                raise DldError("service state must be a data linkage")
-            if not state.is_deterministic():
-                raise NonDeterministicState(state.canonical_text())
         self.state = state
         self.variant = variant
 
@@ -147,26 +148,14 @@ class DldService(Service):
             return True
         return self.variant != "plain" and method.name in RECLAIM_SIGNATURES
 
-    def _pre_state(self, method) -> DataLinkage:
+    def process(self, method):
+        if self.state is _UNDEF or not self._accepts(method):
+            return BLOCKED, DldService(_UNDEF, self.variant)
+        pre = self.state
         if self.variant == "afgc" and method.name == "getatobj":
-            return fgc(self.state)
-        return self.state
-
-    def reply(self, method):
-        if self.state is _UNDEF or not self._accepts(method):
-            return BLOCKED
-        pre = self._pre_state(method)
-        if method.is_basic:
-            return yield_(method, pre)
-        return yield_dldr(method, pre)
-
-    def derive(self, method) -> "DldService":
-        if self.state is _UNDEF or not self._accepts(method):
-            return DldService(_UNDEF, self.variant)
-        pre = self._pre_state(method)
-        if method.is_basic:
-            return DldService(effect(method, pre), self.variant)
-        return DldService(effect_dldr(method, pre), self.variant)
+            pre = fgc(pre)
+        state, reply = perform_dldr(method, pre)
+        return reply, DldService(state, self.variant)
 
     def render(self) -> str:
         if self.state is _UNDEF:
@@ -175,6 +164,11 @@ class DldService(Service):
 
 
 def dlds(initial: DataLinkage, variant: str = "plain") -> DldService:
+    """The linkage service in state `initial`, which must be deterministic."""
+    if not isinstance(initial, DataLinkage):
+        raise DldError("service state must be a data linkage")
+    if not initial.is_deterministic():
+        raise NonDeterministicState(initial.canonical_text())
     return DldService(initial, variant)
 
 
@@ -204,11 +198,11 @@ def use(t: Thread, focus: str, service: Service, budget: int = 4096,
         call = t.action
         if call.focus != focus:
             return Post(call, go(t.then, service), go(t.orelse, service))
-        reply = service.reply(call.method)
+        reply, successor = service.process(call.method)
         if reply is BLOCKED or reply == BLOCKED:
             return DEADLOCK
         branch = t.then if reply else t.orelse
-        inner = go(branch, service.derive(call.method))
+        inner = go(branch, successor)
         return Post(TAU, inner, inner)
 
     # call depth is bounded by the budget; make room for it
@@ -272,12 +266,12 @@ def step_thread(t: Thread, spec: Optional[ThreadSpec], services: dict):
     if call.focus not in services:
         raise UnknownFocus(f"no service for focus {call.focus!r}")
     service = services[call.focus]
-    reply = service.reply(call.method)
+    reply, successor = service.process(call.method)
     if reply is BLOCKED or reply == BLOCKED:
         return (DEADLOCK,
                 TraceStep(call.text(), "B", _render_services(services)),
                 "Deadlock")
-    services[call.focus] = service.derive(call.method)
+    services[call.focus] = successor
     step = TraceStep(call.text(), "T" if reply else "F",
                      _render_services(services))
     return (t.then if reply else t.orelse), step, None

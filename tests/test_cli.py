@@ -36,6 +36,17 @@ def test_normalize_requires_universe(capsys):
     assert "universe not fully declared" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atoms", ["atoms=#0,#1", "atoms = #0, #1"])
+def test_config_atom_names_start_with_hash(capsys, tmp_path, atoms):
+    path = tmp_path / "named.cfg"
+    path.write_text(f"# atoms named in full\n  # indented comment\n"
+                    f"spots=s\nfields=f\n{atoms}\nmodulus=2\n")
+    assert main(["normalize", "--config", str(path), "{s:#1} <| {s:#0}"]) == 0
+    assert capsys.readouterr().out == "s:#0\n"
+    assert main(["normalize", "--config", str(path), "{s:#2}"]) == 1
+    assert "#2" in capsys.readouterr().err
+
+
 def test_parse_error_reported(capsys, config):
     assert main(["normalize", "--config", config, "{s:#0"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from dld.checks import enumerate_deterministic, enumerate_linkages
 from dld.oracles import (rgc_one_at_a_time, safe_dispose_closed_form,
                          spot_reachable)
 from dld.reclaim import clear_refs, effect_dldr, fgc, rgc, safe_dispose, yield_dldr
-from dld.semantics import effect
+from dld.semantics import NONDET, evaluate, field_content, spot_content
 from dld.universe import small_universe
 
 
@@ -86,25 +86,37 @@ def test_ud_clears_other_references(L):
 
 
 def test_ud_composition_law(tiny_universe):
+    """A disposal variant replies as its basic action.  When that action
+    fires a priority-1 row the state stays; otherwise the atom it
+    displaced is disposed of, after unsafe disposal clears every other
+    reference to it."""
     u = tiny_universe
-    pairs = [("udsetspot", "setspot"), ("udclrspot", "clrspot"),
-             ("udgetatobj", "getatobj")]
     from dld.actions import all_reclaim_actions
-    from dld.reclaim import _UNDERLYING, _displaced_atom, _ud_shielded
-    from dld.semantics import Scan
-    for l in enumerate_deterministic(u):
+    states = list(enumerate_linkages(u))
+    nondet = [l for l in states if not l.is_deterministic()]
+    sample = list(enumerate_deterministic(u)) + random.Random(7).sample(nondet, 600)
+    shielded = 0
+    for l in sample:
         for act in all_reclaim_actions(u):
-            if not act.name.startswith("ud"):
+            if act.name in ("fgc", "rgc"):
                 continue
-            scan = Scan(l)
-            if _ud_shielded(scan, act):
+            under = act.underlying
+            expected, reply, efire, _ = evaluate(under, l)
+            assert yield_dldr(act, l) is reply
+            if efire.priority == 1:
+                shielded += 1
+                assert effect_dldr(act, l) == l
                 continue
-            d = _displaced_atom(scan, act)
-            under = Act(_UNDERLYING[act.name], act.args)
-            expected = effect(under, l)
+            d = spot_content(l, act.args[0])
+            if d is not None and under.name in ("setfield", "clrfield"):
+                d = field_content(l, d, act.args[1])
+            assert d is not NONDET
             if d is not None:
-                expected = safe_dispose(d, clear_refs(d, expected))
+                if act.name.startswith("ud"):
+                    expected = clear_refs(d, expected)
+                expected = safe_dispose(d, expected)
             assert effect_dldr(act, l) == expected
+    assert shielded > 0
 
 
 def test_fgc_invariants(tiny_universe):

@@ -104,6 +104,23 @@ def test_same_spot_operands_match_setwise(L):
     assert yield_(A("eqvaltst", "s", "s"), L("s:#0")) is False
 
 
+def test_value_shields_are_named_by_operand_position(L):
+    act = A("assadd", "r", "s", "t")
+    _, reply, efire, yfire = evaluate(act, L("r:#0, r:#1, s:#2, t:#3"))
+    assert reply is False
+    assert efire.row == "eff.assadd.p1.s-spot-nondet"
+    assert yfire.row == "yld.assadd.p1.s-spot-nondet"
+    # the second operand; the first is shielded by no row
+    act = A("assadd", "t", "s", "s")
+    _, _, efire, _ = evaluate(act, L("t:#0, s:#1, #1=2, #1=3"))
+    assert efire.row == "eff.assadd.p1.t-val-nondet"
+    act = A("assneg", "t", "s")
+    _, _, efire, _ = evaluate(act, L("t:#0, s:#1, s:#2"))
+    assert efire.row == "eff.assneg.p1.t-spot-nondet"
+    _, _, efire, _ = evaluate(A("assmul", "s", "t", "u"), L("u:#0, u:#1"))
+    assert efire.row == "eff.assmul.p1.u-spot-nondet"
+
+
 def test_step_records_fired_rows(L):
     out = step(A("clrspot", "t"), L("r:#0, t:#1, #0.up:#1, #1.dn:#0"))
     assert out.state == L("r:#0, #0.up:#1, #1.dn:#0")
@@ -208,6 +225,11 @@ _SPOT_SHIELDS = {(f"p1.{x}-{kind}-nondet",) * 2
 for _name in ("add", "mul", "neg", "inv"):
     FIRED_ROWS[f"ass{_name}"] = _SPOT_SHIELDS | {(f"p2.{_name}", "p2.ok"),
                                                 ("p3.id", "p3.default")}
+for _name in ("add", "mul"):
+    # the third operand's shields, e.g. assadd(t,t,s) with s's content
+    # holding two values
+    FIRED_ROWS[f"ass{_name}"] |= {("p1.u-spot-nondet",) * 2,
+                                  ("p1.u-val-nondet",) * 2}
 FIRED_ROWS["eqvaltst"] = {("p1.id", y) for _, y in _SPOT_SHIELDS} | {
     ("p1.id", "p2.equal"), ("p1.id", "p3.default")}
 

@@ -97,6 +97,27 @@ def test_afgc_matches_manual_composition(tiny_universe):
         assert svc.derive(act).state == effect(act, collected)
 
 
+def test_afgc_collects_once_per_getatobj(tiny_universe, monkeypatch):
+    import dld.threads
+    calls = []
+    collect = dld.threads.fgc
+
+    def counted(l):
+        calls.append(l)
+        return collect(l)
+
+    monkeypatch.setattr(dld.threads, "fgc", counted)
+    u = tiny_universe
+    state = parse_linkage("s:#0, #1.f:#1", u)
+    spec = parse_spec("main = getatobj(t) ; clrspot(t) ; getatobj(t) ; S", u)
+    trace = run(spec, {"dld": dlds(state, "afgc")})
+    assert [step.reply for step in trace.steps] == ["T", "T", "T"]
+    assert len(calls) == 2
+    calls.clear()
+    assert use(spec.entry(), "dld", dlds(state, "afgc")) is not DEADLOCK
+    assert len(calls) == 2
+
+
 def test_run_unknown_focus_raises(demo_universe):
     spec = parse_spec("main = aux.m ; S", demo_universe)
     with pytest.raises(UnknownFocus):
