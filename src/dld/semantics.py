@@ -157,10 +157,10 @@ def _value_shields(scan, spots):
     return None
 
 
-def _test(guard):
+def _test(inner):
     """A test action: the guard's reply and yield row; the state stays."""
     def test(u, scan, *args):
-        reply, _, yrow, bindings, _, _ = guard(u, scan, *args)
+        reply, _, yrow, bindings, _, _ = inner(u, scan, *args)
         return reply, "p1.id", yrow, bindings, None, None
     return test
 
