@@ -140,15 +140,14 @@ def perform_dldr(act: Act, l: DataLinkage, rng=None):
     if act.name == "rgc":
         return rgc(l, rng), True
     scan = Scan(l)
-    under = act.underlying
-    reply, erow, _, _, drop, add = guard(under, l, scan)
+    reply, erow, _, _, drop, add = guard(act.underlying, l, scan)
     if erow[1] == "1":
         return l, reply
     state = _apply(l, drop, add)
     # the displaced atom: the old content of the first spot or, for
     # setfield/clrfield, of its field; both unique once no shield fired
     d = _spot_def(scan, act.args[0])
-    if d is not None and under.name in ("setfield", "clrfield"):
+    if d is not None and act.underlying.name in ("setfield", "clrfield"):
         targets = scan.fl.get((d, act.args[1]))
         d = targets[0] if targets else None
     if d is None:
@@ -163,4 +162,7 @@ def effect_dldr(act: Act, l: DataLinkage, rng=None) -> DataLinkage:
 
 
 def yield_dldr(act: Act, l: DataLinkage) -> bool:
-    return perform_dldr(act, l)[1]
+    """The reply alone; a disposal variant replies as its basic action."""
+    if act.name in ("fgc", "rgc"):
+        return True
+    return guard(act if act.is_basic else act.underlying, l)[0]

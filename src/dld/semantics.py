@@ -63,11 +63,8 @@ class Scan:
             else:
                 val.setdefault(link[1], []).append(link[2])
                 atoms.add(link[1])
-        self.spot = spot
-        self.pf = pf
-        self.fl = fl
-        self.val = val
-        self.atoms = atoms
+        self.spot, self.pf, self.fl, self.val, self.atoms = (
+            spot, pf, fl, val, atoms)
 
 
 @dataclass(frozen=True)
@@ -438,7 +435,7 @@ def evaluate(act: Act, l: DataLinkage, scan: Scan | None = None):
     reply, erow, yrow, bindings, drop, add = guard(act, l, scan)
     return (_apply(l, drop, add), reply,
             RuleFire(act, f"eff.{act.name}.{erow}", int(erow[1]), bindings),
-            RuleFire(act, f"yld.{act.name}.{yrow}", int(yrow[1]), bindings))
+            RuleFire(act, f"yld.{act.name}.{yrow}", int(yrow[1]), {**bindings}))
 
 
 def step(act: Act, l: DataLinkage) -> StepOutcome:

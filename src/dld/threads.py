@@ -130,7 +130,8 @@ class DldService(Service):
     reclamation actions, and "afgc" is dldr with every getatobj treated
     as a full collection followed by getatobj.  Any other method request
     moves to the absorbing blocked state.  Every action keeps a state
-    deterministic, so only `dlds`, where a state enters, checks that.
+    deterministic, so the constructor, where a state enters, checks that
+    and `process` builds its successors through `_next` without it.
     """
 
     VARIANTS = ("plain", "dldr", "afgc")
@@ -138,8 +139,20 @@ class DldService(Service):
     def __init__(self, state, variant: str = "plain"):
         if variant not in self.VARIANTS:
             raise DldError(f"unknown service variant {variant!r}")
+        if state is not _UNDEF:
+            if not isinstance(state, DataLinkage):
+                raise DldError("service state must be a data linkage")
+            if not state.is_deterministic():
+                raise NonDeterministicState(state.canonical_text())
         self.state = state
         self.variant = variant
+
+    def _next(self, state) -> "DldService":
+        """Successor in `state`, which an action produced and so needs no
+        check."""
+        succ = object.__new__(DldService)
+        succ.state, succ.variant = state, self.variant
+        return succ
 
     def _accepts(self, method) -> bool:
         if not isinstance(method, Act):
@@ -150,12 +163,12 @@ class DldService(Service):
 
     def process(self, method):
         if self.state is _UNDEF or not self._accepts(method):
-            return BLOCKED, DldService(_UNDEF, self.variant)
+            return BLOCKED, self._next(_UNDEF)
         pre = self.state
         if self.variant == "afgc" and method.name == "getatobj":
             pre = fgc(pre)
         state, reply = perform_dldr(method, pre)
-        return reply, DldService(state, self.variant)
+        return reply, self._next(state)
 
     def render(self) -> str:
         if self.state is _UNDEF:
@@ -165,10 +178,6 @@ class DldService(Service):
 
 def dlds(initial: DataLinkage, variant: str = "plain") -> DldService:
     """The linkage service in state `initial`, which must be deterministic."""
-    if not isinstance(initial, DataLinkage):
-        raise DldError("service state must be a data linkage")
-    if not initial.is_deterministic():
-        raise NonDeterministicState(initial.canonical_text())
     return DldService(initial, variant)
 
 

@@ -130,6 +130,7 @@ def test_step_records_fired_rows(L):
     assert eff.row == "eff.clrspot.p2.clear" and eff.priority == 2
     assert yld.row == "yld.clrspot.p2.true"
     assert eff.bindings == {"s": "t", "a": "#1"}
+    assert yld.bindings == eff.bindings and yld.bindings is not eff.bindings
 
 
 def test_accessors(L):

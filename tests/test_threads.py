@@ -71,6 +71,15 @@ def test_dld_service_variants(demo_universe, L):
         dlds(L("s:#0, s:#1"))
 
 
+def test_dld_service_checks_the_state_it_is_built_with(L):
+    with pytest.raises(DldError):
+        DldService("r:#0")
+    with pytest.raises(NonDeterministicState):
+        DldService(L("s:#0, s:#1"), "dldr")
+    reply, succ = DldService(L("r:#0")).process(A("clrspot", "r"))
+    assert reply is True and succ.render() == "0"
+
+
 def test_afgc_collects_before_allocating(tiny_universe):
     u = tiny_universe
     # both atoms occur, but #1 is garbage: plain fails, afgc succeeds
