@@ -13,8 +13,8 @@ from itertools import product
 
 from .actions import Act, all_basic_actions, all_reclaim_actions
 from .linkage import (DataLinkage, TCombine, TEmpty, TLit, TOverride, flink,
-                      pflink, slink, valass)
-from .oracles import normalize_by_axioms, rgc_one_at_a_time
+                      normalize, pflink, slink, valass)
+from .oracles import fgc_one_at_a_time, normalize_by_axioms, rgc_one_at_a_time
 from .reclaim import fgc, perform_dldr, rgc
 from .refine import check_commutation, enumerate_states, retrieve
 from .semantics import Scan, perform
@@ -104,12 +104,6 @@ def random_term(rng: random.Random, u: Universe, depth: int):
         return TLit(random_linkage(rng, u))
     kind = TCombine if rng.random() < 0.5 else TOverride
     return kind(random_term(rng, u, depth - 1), random_term(rng, u, depth - 1))
-
-
-def _norm(term, u):
-    from .linkage import normalize
-
-    return normalize(term, u)
 
 
 # --- axiom suite ---------------------------------------------------------------
@@ -210,8 +204,8 @@ def suite_axioms(u: Universe | None = None, cases: int = 100,
     summary = Summary("axioms")
     for _ in range(cases):
         for name, lhs, rhs in _axiom_cases(rng, u):
-            left = _norm(lhs, u)
-            right = _norm(rhs, u)
+            left = normalize(lhs, u)
+            right = normalize(rhs, u)
             summary.record(left == right,
                            f"{name}: {left.canonical_text()} != "
                            f"{right.canonical_text()}")
@@ -229,9 +223,9 @@ def suite_thm1(u: Universe | None = None, terms: int = 1000,
     sampled = set(rng.sample(range(terms), min(oracle_samples, terms)))
     for i in range(terms):
         term = random_term(rng, u, depth)
-        nf = _norm(term, u)
-        ok = _norm(TCombine(term, term), u) == nf
-        ok = ok and _norm(TCombine(TLit(nf), TLit(nf)), u) == nf
+        nf = normalize(term, u)
+        ok = normalize(TCombine(term, term), u) == nf
+        ok = ok and normalize(TCombine(TLit(nf), TLit(nf)), u) == nf
         if i in sampled:
             ok = ok and normalize_by_axioms(term, u) == nf
         summary.record(ok, f"term {i}: {nf.canonical_text()}")
@@ -244,8 +238,7 @@ def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
                nondet_reclaim_samples: int = 300) -> Summary:
     """Every basic action on every state, re-evaluated under shuffled
     link orders; reclamation actions likewise on every deterministic
-    state plus sampled non-deterministic ones, with randomised worklist
-    extraction."""
+    state plus sampled non-deterministic ones."""
     u = u or small_universe(2, 1, 2, 2)
     rng = random.Random(seed)
     summary = Summary("thm2")
@@ -287,7 +280,7 @@ def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
             for j, a in enumerate(reclaim):
                 if not agree[j]:
                     continue
-                if perform_dldr(a, l2, rng=rng) != base[j]:
+                if perform_dldr(a, l2) != base[j]:
                     agree[j] = False
         for j, a in enumerate(reclaim):
             if agree[j]:
@@ -333,6 +326,7 @@ def suite_gc_cross(u: Universe | None = None, seed: int = 0) -> Summary:
         restricted = rgc(l)
         if (full.links <= restricted.links
                 and fgc(restricted) == full
+                and full == fgc_one_at_a_time(l, rng)
                 and restricted == rgc_one_at_a_time(l, rng)):
             summary.ok()
         else:

@@ -37,20 +37,29 @@ def _parse_names(value: str) -> tuple:
     return tuple(x.strip() for x in value.split(",") if x.strip())
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DldError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DldError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
+
+
 def read_config(path: str | None) -> dict:
     config: dict = {}
     if path is None:
         return config
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            # a comment is a whole line; `#` inside a value is an atom name
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DldError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+    for lineno, raw in enumerate(_read_text(path).split("\n"), 1):
+        # a comment is a whole line; `#` inside a value is an atom name
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DldError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        config[key.strip()] = value.strip()
     return config
 
 
@@ -104,8 +113,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_eval(args) -> int:
     u = build_universe(read_config(args.config), args)
-    with open(args.state, encoding="utf-8") as fh:
-        state = parse_linkage(fh.read().strip(), u)
+    state = parse_linkage(_read_text(args.state).strip(), u)
     for act in parse_action_list(args.actions, u):
         state, reply = perform_dldr(act, state)
         print(f"{act.text()} {'T' if reply else 'F'} {state.canonical_text()}")
@@ -118,10 +126,8 @@ _EXIT_CODES = {"Stop": 0, "Deadlock": 2, "BudgetExhausted": 3}
 def cmd_run(args) -> int:
     config = read_config(args.config)
     u = build_universe(config, args)
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = parse_spec(fh.read(), u)
-    with open(args.init, encoding="utf-8") as fh:
-        initial = parse_linkage(fh.read().strip(), u)
+    spec = parse_spec(_read_text(args.spec), u)
+    initial = parse_linkage(_read_text(args.init).strip(), u)
     variant = args.service or config.get("service", "plain")
     budget = args.max_steps
     if budget is None:
@@ -140,6 +146,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.cases is not None and args.cases < 0:
+        raise DldError(f"--cases must not be negative, got {args.cases}")
     kwargs = {}
     if args.suite in ("axioms", "thm1", "thm2", "thm3", "gc-cross"):
         if any(v is not None for v in

@@ -211,15 +211,26 @@ LinkageTerm = object
 
 
 def normalize(term: LinkageTerm, universe: Universe) -> DataLinkage:
-    """Fold a closed term down to its basic (override-free) form."""
-    if isinstance(term, TEmpty):
-        return DataLinkage.empty(universe)
-    if isinstance(term, TLit):
-        return term.linkage
-    if isinstance(term, TCombine):
-        return normalize(term.left, universe).combine(
-            normalize(term.right, universe))
-    if isinstance(term, TOverride):
-        return normalize(term.left, universe).override(
-            normalize(term.right, universe))
-    raise DldError(f"not a linkage term: {term!r}")
+    """Fold a closed term down to its basic (override-free) form.
+
+    The walk keeps its own stack, so a term of any depth folds: each
+    operator is visited once to queue its operands, left first, and once
+    more to fold their values."""
+    values: list = []
+    stack = [(term, False)]
+    while stack:
+        t, operands_done = stack.pop()
+        if isinstance(t, TEmpty):
+            values.append(DataLinkage.empty(universe))
+        elif isinstance(t, TLit):
+            values.append(t.linkage)
+        elif not isinstance(t, (TCombine, TOverride)):
+            raise DldError(f"not a linkage term: {t!r}")
+        elif operands_done:
+            right = values.pop()
+            left = values.pop()
+            values.append(left.combine(right) if isinstance(t, TCombine)
+                          else left.override(right))
+        else:
+            stack += [(t, True), (t.right, False), (t.left, False)]
+    return values[0]

@@ -12,9 +12,6 @@ class Meadow:
     def __init__(self, modulus: int):
         self.modulus = modulus
 
-    def coerce(self, n: int) -> int:
-        return n % self.modulus
-
     def zero(self) -> int:
         return 0
 

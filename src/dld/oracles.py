@@ -2,14 +2,16 @@
 
 Each oracle recomputes a result along a different route than the
 shipped implementation: literal axiom chaining instead of the key-set
-closed form, naive graph search instead of worklists, and so on.  The
-test suite and the `check` command compare the two routes.
+closed form, the collectors' rewrite rules applied one link at a time
+(in a random order when given an `rng`) instead of one linear search,
+and so on.  The test suite and the `check` command compare the two
+routes.
 """
 
 from __future__ import annotations
 
-from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, TCombine, TEmpty,
-                      TLit, TOverride, override_key)
+from .linkage import (FLD, SPOT, DataLinkage, TCombine, TEmpty, TLit,
+                      TOverride, override_key)
 from .universe import Universe
 
 
@@ -52,45 +54,52 @@ def normalize_by_axioms(term, universe: Universe) -> DataLinkage:
     return DataLinkage(universe, sorted(go(term)))
 
 
-def spot_reachable(l: DataLinkage) -> frozenset:
-    """Atoms reachable from spots via field links, by plain BFS."""
-    edges: dict = {}
-    seeds = []
-    for link in l.links:
+def fgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
+    """Full collection by moving a single enabled link at a time into the
+    kept part: a spot link always, any other link once a kept spot or
+    field link points to its atom (the shipped collector searches once)."""
+    kept: list = []
+    remainder = list(l.iter_links())
+    targets: set = set()
+    while True:
+        moves = [x for x in remainder if x[0] == SPOT or x[1] in targets]
+        if not moves:
+            return l.with_links(kept)
+        link = rng.choice(moves) if rng is not None else moves[0]
+        remainder.remove(link)
+        kept.append(link)
         if link[0] == SPOT:
-            seeds.append(link[2])
+            targets.add(link[2])
         elif link[0] == FLD:
-            edges.setdefault(link[1], []).append(link[3])
-    seen = set()
-    frontier = list(seeds)
-    while frontier:
-        a = frontier.pop()
-        if a in seen:
+            targets.add(link[3])
+
+
+def safe_dispose_staged(d: str, l: DataLinkage, rng=None) -> DataLinkage:
+    """Safe disposal in three strict stages: first the spot-reachable
+    part is kept, one move at a time; then the links to d when d turned
+    out to be retained; then everything d is not involved in.  The rest
+    is discarded.  A link kept in a later stage never extends the
+    reachable part."""
+    kept = list(fgc_one_at_a_time(l, rng).iter_links())
+    kept_set = set(kept)
+    retained = any((x[0] == SPOT and x[2] == d) or (x[0] == FLD and x[3] == d)
+                   for x in kept)
+    for link in l.iter_links():
+        if link in kept_set:
             continue
-        seen.add(a)
-        frontier.extend(edges.get(a, ()))
-    return frozenset(seen)
-
-
-def safe_dispose_closed_form(d: str, l: DataLinkage) -> DataLinkage:
-    """Identity when d is spot-reachable, otherwise every link involving
-    d goes: as spot target, field source or target, partial-link subject
-    or value subject."""
-    if d in spot_reachable(l):
-        return l
-    def involves(link):
-        tag = link[0]
-        if tag == SPOT:
-            return link[2] == d
-        if tag == FLD:
-            return link[1] == d or link[3] == d
-        return link[1] == d
-    return l.with_links([x for x in l.iter_links() if not involves(x)])
+        if link[0] == FLD:
+            if (retained and link[3] == d) or (link[1] != d and link[3] != d):
+                kept.append(link)
+        elif link[1] != d:
+            # spot links were all kept in stage one; partial links and
+            # value associations stay unless they are d's own
+            kept.append(link)
+    return l.with_links(kept)
 
 
 def rgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
     """Reference-count collection by deleting a single zero-count-anchored
-    link at a time (the shipped collector deletes in rounds)."""
+    link at a time (the shipped collector counts once and cascades)."""
     links = list(l.iter_links())
     while True:
         counts: dict = {}

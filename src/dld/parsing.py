@@ -177,7 +177,11 @@ def _parse_term(cur: _Cursor, universe: Universe):
 
 def parse_term(text: str, universe: Universe):
     cur = _Cursor(tokenize(text), len(text))
-    term = _parse_term(cur, universe)
+    try:
+        term = _parse_term(cur, universe)
+    except RecursionError:
+        raise ParseError("term nested too deeply",
+                         cur.peek()[2]) from None
     if not cur.at_end():
         raise ParseError(f"trailing input {cur.peek()[1]!r}", cur.peek()[2])
     return term

@@ -1,10 +1,10 @@
 """Garbage reclamation: full GC, reference-count-style GC, disposal.
 
-The collectors are worklist fixpoints over the link set.  Moves are
-monotone (once a link is enabled it stays enabled within its priority
-band), so moving every enabled link per round gives the same result as
-any fair one-at-a-time strategy; the `rng` parameter switches to a
-randomised one-move-at-a-time strategy so tests can confirm that.
+Each collector is linear in the links: `fgc` and `safe_dispose` share
+one reachability search (`_reachable`), and `rgc` counts references once
+and cascades from the atoms that lose their last one.  The paper's rules
+move one link at a time; `oracles` keeps those literal readings, and the
+tests and the gc-cross suite check the collectors against them.
 
 `perform_dldr` gives (next state, reply) of every action in one call.
 A safe (sd) or unsafe (ud) disposal variant evaluates its basic action's
@@ -17,101 +17,70 @@ reference to it.
 from __future__ import annotations
 
 from .actions import Act
-from .linkage import FLD, SPOT, DataLinkage, pflink
+from .linkage import FLD, SPOT, DataLinkage, link_atoms, pflink
 from .semantics import Scan, _apply, _spot_def, guard, perform
 from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
 
 
-def _anchor(link) -> str:
-    """Atom whose reachability justifies keeping a non-spot link."""
-    return link[1]
-
-
-def _targets(kept) -> set:
-    """Atoms that spot links or field links in `kept` point to."""
-    out = set()
-    for link in kept:
+def _reachable(l: DataLinkage) -> set:
+    """Atoms reachable from spots via field links."""
+    succ: dict = {}
+    frontier = []
+    for link in l.links:
         if link[0] == SPOT:
-            out.add(link[2])
+            frontier.append(link[2])
         elif link[0] == FLD:
-            out.add(link[3])
-    return out
+            succ.setdefault(link[1], []).append(link[3])
+    seen = set(frontier)
+    while frontier:
+        for b in succ.get(frontier.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
 
 
-def fgc(l: DataLinkage, rng=None) -> DataLinkage:
-    """Keep the part reachable from spots; drop everything else.
-
-    Worklist: spot links move unconditionally, any other link moves once
-    its anchor is the target of an already-moved link.  Moves stay
-    enabled as the kept part grows, so extraction order cannot change
-    the result; with `rng` one random enabled move is taken at a time
-    instead of a whole round."""
-    kept: list = []
-    remainder = list(l.iter_links())
-    targets: set = set()
-    while True:
-        moves = [x for x in remainder
-                 if x[0] == SPOT or _anchor(x) in targets]
-        if not moves:
-            return l.with_links(kept)
-        if rng is not None:
-            moves = [rng.choice(moves)]
-        for link in moves:
-            remainder.remove(link)
-            kept.append(link)
-            if link[0] == SPOT:
-                targets.add(link[2])
-            elif link[0] == FLD:
-                targets.add(link[3])
+def fgc(l: DataLinkage) -> DataLinkage:
+    """Keep the spot links and every other link whose atom `x[1]` is
+    reachable from a spot; drop everything else."""
+    seen = _reachable(l)
+    return l.with_links([x for x in l.iter_links()
+                         if x[0] == SPOT or x[1] in seen])
 
 
-def rgc(l: DataLinkage, rng=None) -> DataLinkage:
-    """Repeatedly drop links anchored at atoms with no incoming link.
+def rgc(l: DataLinkage) -> DataLinkage:
+    """Drop the links of atoms with no incoming link, until none is left.
 
     The reference count of an atom is the number of spot links and field
-    links to it; cycles keep each other alive, so this reclaims strictly
-    less than fgc."""
-    links = list(l.iter_links())
-    if rng is not None:
-        rng.shuffle(links)
-    while True:
-        counts: dict = {}
-        for link in links:
-            if link[0] == SPOT:
-                counts[link[2]] = counts.get(link[2], 0) + 1
-            elif link[0] == FLD:
-                counts[link[3]] = counts.get(link[3], 0) + 1
-        kept = [x for x in links
-                if x[0] == SPOT or counts.get(_anchor(x), 0) > 0]
-        if len(kept) == len(links):
-            return l.with_links(kept)
-        links = kept
+    links to it.  Dropping a dead atom's field links lowers its targets'
+    counts, and a target whose count reaches zero dies in turn.  Cycles
+    keep each other alive, so this reclaims strictly less than fgc."""
+    counts: dict = {}
+    succ: dict = {}
+    for link in l.links:
+        if link[0] == SPOT:
+            counts[link[2]] = counts.get(link[2], 0) + 1
+        elif link[0] == FLD:
+            counts[link[3]] = counts.get(link[3], 0) + 1
+            succ.setdefault(link[1], []).append(link[3])
+    dead = {x[1] for x in l.links if x[0] != SPOT and x[1] not in counts}
+    work = list(dead)
+    while work:
+        for b in succ.get(work.pop(), ()):
+            counts[b] -= 1
+            if not counts[b]:
+                dead.add(b)
+                work.append(b)
+    return l.with_links([x for x in l.iter_links()
+                         if x[0] == SPOT or x[1] not in dead])
 
 
-def safe_dispose(d: str, l: DataLinkage, rng=None) -> DataLinkage:
+def safe_dispose(d: str, l: DataLinkage) -> DataLinkage:
     """Drop every link involving atom d, unless d is reachable from a
-    spot via field links (then nothing changes).
-
-    Three strict stages: first the spot-reachable part is kept (the
-    collector's worklist), then the links to d when d turned out to be
-    retained, then everything d is not involved in; the rest is
-    discarded.  The stages do not feed back: a link kept in a later
-    stage never extends the reachable part."""
-    kept = list(fgc(l, rng).iter_links())
-    kept_set = set(kept)
-    retained = d in _targets(kept)
-    for link in l.iter_links():
-        if link in kept_set:
-            continue
-        tag = link[0]
-        if tag == FLD:
-            if (retained and link[3] == d) or (link[1] != d and link[3] != d):
-                kept.append(link)
-        elif link[1] != d:
-            # spot links were all kept in stage one; partial links and
-            # value associations stay unless they are d's own
-            kept.append(link)
-    return l.with_links(kept)
+    spot via field links (then nothing changes)."""
+    if d in _reachable(l):
+        return l
+    return l.with_links([x for x in l.iter_links() if d not in link_atoms(x)])
 
 
 def clear_refs(d: str, l: DataLinkage) -> DataLinkage:
@@ -131,14 +100,14 @@ def clear_refs(d: str, l: DataLinkage) -> DataLinkage:
 
 # --- dispatch for the extended action set -----------------------------------
 
-def perform_dldr(act: Act, l: DataLinkage, rng=None):
+def perform_dldr(act: Act, l: DataLinkage):
     """(next state, reply) of any action, basic or reclamation."""
     if act.is_basic:
         return perform(act, l)
     if act.name == "fgc":
-        return fgc(l, rng), True
+        return fgc(l), True
     if act.name == "rgc":
-        return rgc(l, rng), True
+        return rgc(l), True
     scan = Scan(l)
     reply, erow, _, _, drop, add = guard(act.underlying, l, scan)
     if erow[1] == "1":
@@ -154,11 +123,11 @@ def perform_dldr(act: Act, l: DataLinkage, rng=None):
         return state, reply
     if act.name.startswith("ud"):
         state = clear_refs(d, state)
-    return safe_dispose(d, state, rng), reply
+    return safe_dispose(d, state), reply
 
 
-def effect_dldr(act: Act, l: DataLinkage, rng=None) -> DataLinkage:
-    return perform_dldr(act, l, rng)[0]
+def effect_dldr(act: Act, l: DataLinkage) -> DataLinkage:
+    return perform_dldr(act, l)[0]
 
 
 def yield_dldr(act: Act, l: DataLinkage) -> bool:

@@ -296,43 +296,32 @@ def _restrict(st: SetState, kept) -> SetState:
     return st.replace(zeta=zeta, xi=xi)
 
 
-def _rgc_kept(st: SetState, literal: bool) -> frozenset:
-    base = reach_atoms(st)
-    cyclic = incycle(st.zeta)
-    if literal:
-        return base | cyclic
-    out = set(base)
-    for a in cyclic:
+def _rgc_kept(st: SetState) -> frozenset:
+    out = set(reach_atoms(st))
+    for a in incycle(st.zeta):
         if a not in out:
             out |= reach_from(a, st.zeta)
     return frozenset(out)
 
 
-def effect_set_reclaim(act: Act, st: SetState, *, rgc_literal: bool = False) -> SetState:
-    """Reclamation on map triples.  `rgc_literal` switches rgc to the
-    bare reach-or-cycle kept set, which can strand field entries; the
-    default closes the kept set under field successors, matching the
+def effect_set_reclaim(act: Act, st: SetState) -> SetState:
+    """Reclamation on map triples.  rgc keeps what spots reach and what
+    field cycles reach, closed under field successors, matching the
     rewrite collector."""
     name, args = act.name, act.args
     if name == "fgc":
         return _restrict(st, reach_atoms(st))
     if name == "rgc":
-        return _restrict(st, _rgc_kept(st, rgc_literal))
+        return _restrict(st, _rgc_kept(st))
     if act.is_basic:
         return effect_set(act, st)
-    if name in ("sdgetatobj", "sdsetspot", "sdclrspot", "sdgetfield"):
-        d = st.sigma[args[0]]
-        return sd_set(d, effect_set(act.underlying, st))
-    if name in ("sdsetfield", "sdclrfield"):
+    under = act.underlying
+    if under.name in ("setfield", "clrfield"):
         d = _old_field_content(st, args[0], args[1])
-        return sd_set(d, effect_set(act.underlying, st))
-    if name in ("udgetatobj", "udsetspot", "udclrspot", "udgetfield"):
+    else:
         d = st.sigma[args[0]]
-        return ud_set(d, effect_set(act.underlying, st))
-    if name in ("udsetfield", "udclrfield"):
-        d = _old_field_content(st, args[0], args[1])
-        return ud_set(d, effect_set(act.underlying, st))
-    raise DldError(f"unknown action: {name}")
+    dispose = ud_set if name.startswith("ud") else sd_set
+    return dispose(d, effect_set(under, st))
 
 
 def yield_set_reclaim(act: Act, st: SetState) -> bool:

@@ -248,9 +248,6 @@ class ExecTrace:
         lines.append(self.terminal.lower())
         return "\n".join(lines)
 
-    def states(self) -> list:
-        return [self.initial] + [s.state for s in self.steps]
-
 
 def _render_services(services: dict) -> str:
     if len(services) == 1:

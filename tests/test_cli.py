@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -129,6 +130,52 @@ def test_check_thm3_small(capsys):
     assert any(line.startswith("FAIL") and "tight=false" in line
                for line in out[:-1])
     assert re.fullmatch(r"checked=\d+ passed=\d+ failed=[1-9]\d*", out[-1])
+
+
+def _user_error(capsys, argv) -> str:
+    """Run argv, expecting exit 1 and a one-line `error:` report."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+def test_unreadable_input_files_are_user_errors(capsys, config, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    init = tmp_path / "init.txt"
+    init.write_text("0\n")
+    spec = tmp_path / "spec.thread"
+    spec.write_text("main = S\n")
+    assert missing in _user_error(capsys, ["normalize", "--config", missing, "0"])
+    assert missing in _user_error(capsys, [
+        "eval", "--config", config, "--state", missing, "--actions", "fgc"])
+    assert missing in _user_error(capsys, [
+        "run", "--config", config, "--spec", missing, "--init", str(init)])
+    assert missing in _user_error(capsys, [
+        "run", "--config", config, "--spec", str(spec), "--init", missing])
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe0\n")
+    assert "not UTF-8" in _user_error(capsys, [
+        "eval", "--config", config, "--state", str(binary), "--actions", "fgc"])
+
+
+@pytest.mark.parametrize("suite,cases", [("axioms", "-1"), ("tsu", "-5"),
+                                         ("thm1", "-5")])
+def test_negative_case_counts_are_rejected(capsys, suite, cases):
+    assert "--cases" in _user_error(capsys, ["check", suite, "--cases", cases])
+
+
+def test_deep_terms(capsys, config):
+    limit = sys.getrecursionlimit()
+    chain = " + ".join(f"{{s:#{i % 10}}}" for i in range(3000))
+    assert main(["normalize", "--config", config, chain]) == 0
+    assert capsys.readouterr().out == \
+        ", ".join(f"s:#{i}" for i in range(10)) + "\n"
+    nested = "(" * 1200 + "{s:#0}" + ")" * 1200
+    assert "nested too deeply" in _user_error(
+        capsys, ["normalize", "--config", config, nested])
+    assert sys.getrecursionlimit() == limit
 
 
 def test_roundtrip_all_small_linkages():

@@ -1,14 +1,16 @@
 import random
+import time
 
 import pytest
 
 from dld import Act
 from dld.checks import enumerate_deterministic, enumerate_linkages
-from dld.oracles import (rgc_one_at_a_time, safe_dispose_closed_form,
-                         spot_reachable)
+from dld.linkage import DataLinkage, flink, slink, valass
+from dld.oracles import (fgc_one_at_a_time, rgc_one_at_a_time,
+                         safe_dispose_staged)
 from dld.reclaim import clear_refs, effect_dldr, fgc, rgc, safe_dispose, yield_dldr
 from dld.semantics import NONDET, evaluate, field_content, spot_content
-from dld.universe import small_universe
+from dld.universe import Universe, small_universe
 
 
 def A(name, *args):
@@ -121,11 +123,12 @@ def test_ud_composition_law(tiny_universe):
 
 def test_fgc_invariants(tiny_universe):
     u = tiny_universe
+    rng = random.Random(3)
     for l in enumerate_linkages(u):
         collected = fgc(l)
         assert collected.links <= l.links
         assert fgc(collected) == collected
-        assert collected.atobj() == spot_reachable(l)
+        assert collected == fgc_one_at_a_time(l, rng)
 
 
 def test_rgc_invariants(tiny_universe):
@@ -140,11 +143,12 @@ def test_rgc_invariants(tiny_universe):
         assert restricted == rgc_one_at_a_time(l, rng)
 
 
-def test_safe_dispose_matches_closed_form(tiny_universe):
+def test_safe_dispose_matches_staged_rules(tiny_universe):
     u = tiny_universe
+    rng = random.Random(17)
     for l in enumerate_linkages(u):
         for d in u.atoms:
-            assert safe_dispose(d, l) == safe_dispose_closed_form(d, l)
+            assert safe_dispose(d, l) == safe_dispose_staged(d, l, rng)
 
 
 def test_worklist_order_invariance(tiny_universe):
@@ -159,7 +163,43 @@ def test_worklist_order_invariance(tiny_universe):
             order = list(l.iter_links())
             rng.shuffle(order)
             shuffled = l.with_links(order)
-            assert fgc(shuffled, rng=rng) == base_fgc
-            assert rgc(shuffled, rng=rng) == base_rgc
+            assert fgc(shuffled) == base_fgc
+            assert rgc(shuffled) == base_rgc
+            assert fgc_one_at_a_time(shuffled, rng) == base_fgc
+            assert rgc_one_at_a_time(shuffled, rng) == base_rgc
             for d in u.atoms:
-                assert safe_dispose(d, shuffled, rng=rng) == base_sd[d]
+                assert safe_dispose(d, shuffled) == base_sd[d]
+                assert safe_dispose_staged(d, shuffled, rng) == base_sd[d]
+
+
+def _chain(n: int, spotted: bool) -> DataLinkage:
+    """n field links #0 -> #1 -> ... -> #n, each atom with a value, and
+    a spot on #0 when `spotted`."""
+    u = Universe(spots=("s",), fields=("nx",),
+                 atoms=tuple(f"#{i}" for i in range(n + 1)), modulus=2)
+    links = [flink(f"#{i}", "nx", f"#{i + 1}") for i in range(n)]
+    links += [valass(a, 1) for a in u.atoms]
+    if spotted:
+        links.append(slink("s", "#0"))
+    return DataLinkage(u, links)
+
+
+@pytest.mark.parametrize("spotted", [True, False])
+def test_collectors_are_linear(spotted):
+    """Each collector handles a 10,000-link chain well within a second;
+    moving one link or one round at a time would be quadratic here."""
+    l = _chain(10_000, spotted)
+    d = "#5000"
+    out = {}
+    for name, collect in (("fgc", fgc), ("rgc", rgc),
+                          ("sd", lambda x: safe_dispose(d, x))):
+        start = time.perf_counter()
+        out[name] = collect(l)
+        assert time.perf_counter() - start < 1.0, name
+    if spotted:
+        assert out["fgc"] == out["rgc"] == out["sd"] == l
+    else:
+        assert out["fgc"] == out["rgc"] == l.with_links(())
+        # d's value and its field links in and out go
+        assert out["sd"].links == l.links - {
+            valass(d, 1), flink("#4999", "nx", d), flink(d, "nx", "#5001")}

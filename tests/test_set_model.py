@@ -115,7 +115,9 @@ def test_rgc_closure_vs_literal():
     closed.check_invariants()
     assert set(closed.zeta) == {"#0", "#1", "#2"}
     assert closed.xi["#2"] == 1
-    literal = effect_set_reclaim(A("rgc"), st, rgc_literal=True)
+    kept = reach_atoms(st) | incycle(st.zeta)
+    literal = st.replace(zeta={a: fm for a, fm in st.zeta.items() if a in kept},
+                         xi={a: v for a, v in st.xi.items() if a in kept})
     assert set(literal.zeta) == {"#0", "#1"}
     with pytest.raises(DldError):
         literal.check_invariants()
