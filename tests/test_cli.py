@@ -109,6 +109,26 @@ def test_run_output_modes(capsys, config, tmp_path):
     assert capsys.readouterr().out == "getatobj(r) T r:#0\nstop\n"
 
 
+BLOCKED_OUTPUTS = {
+    "trace": "init 0\ngetatobj(r) T r:#0\nfgc B r:#0\ndeadlock\n",
+    "machine": "getatobj(r) T r:#0\nfgc B r:#0\ndeadlock\n",
+    "final": "r:#0\n",
+}
+
+
+@pytest.mark.parametrize("output", sorted(BLOCKED_OUTPUTS))
+def test_run_blocked_step_shows_the_state_before_the_call(capsys, config,
+                                                          tmp_path, output):
+    init = tmp_path / "init.txt"
+    init.write_text("0\n")
+    spec = tmp_path / "spec.thread"
+    spec.write_text("main = getatobj(r) ; fgc ; S\n")
+    assert main(["run", "--config", config, "--spec", str(spec),
+                 "--init", str(init), "--service", "plain",
+                 "--output", output]) == 2
+    assert capsys.readouterr().out == BLOCKED_OUTPUTS[output]
+
+
 def test_check_summary_line(capsys):
     assert main(["check", "axioms", "--cases", "5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
