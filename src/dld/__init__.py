@@ -25,9 +25,9 @@ from .semantics import (NONDET, RuleFire, StepOutcome, effect, field_content,
 from .set_model import (SetState, effect_set, effect_set_reclaim, incycle,
                         is_tight, reach_atoms, reach_from, sd_set, tighten,
                         ud_set, yield_set, yield_set_reclaim)
-from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldService,
-                      ExecTrace, Post, Ref, Service, ThreadSpec, dlds, run,
-                      step_thread, use)
+from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
+                      DldService, Post, Ref, Run, Service, ThreadSpec, dlds,
+                      run, step_thread, use)
 from .universe import Universe, small_universe
 
 __version__ = "0.1.0"

@@ -47,6 +47,17 @@ def _read_text(path: str) -> str:
         raise DldError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
+def _integer(value, label: str, minimum: int | None = None) -> int:
+    """An integer setting from a config file or a flag."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise DldError(f"{label} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise DldError(f"{label} must be at least {minimum}, got {n}")
+    return n
+
+
 def read_config(path: str | None) -> dict:
     config: dict = {}
     if path is None:
@@ -92,7 +103,7 @@ def build_universe(config: dict, args) -> Universe:
         spots=names(spots, _SPOT_POOL, "spots"),
         fields=names(fields, _FIELD_POOL, "fields"),
         atoms=names(atoms, (), "atoms"),
-        modulus=int(modulus),
+        modulus=_integer(modulus, "modulus"),
     )
 
 
@@ -121,28 +132,35 @@ def cmd_eval(args) -> int:
 
 
 _EXIT_CODES = {"Stop": 0, "Deadlock": 2, "BudgetExhausted": 3}
+_OUTPUTS = ("trace", "final", "machine")
 
 
 def cmd_run(args) -> int:
     config = read_config(args.config)
     u = build_universe(config, args)
+    variant = args.service or config.get("service", "plain")
+    if args.max_steps is not None:
+        budget = _integer(args.max_steps, "--max-steps", 0)
+    else:
+        budget = _integer(config.get("max_steps", 1000), "max_steps", 0)
+    output = args.output or config.get("output", "trace")
+    if output not in _OUTPUTS:
+        raise DldError(f"unknown output {output!r}; "
+                       f"choose one of {', '.join(_OUTPUTS)}")
     spec = parse_spec(_read_text(args.spec), u)
     initial = parse_linkage(_read_text(args.init).strip(), u)
-    variant = args.service or config.get("service", "plain")
-    budget = args.max_steps
-    if budget is None:
-        budget = int(config.get("max_steps", 1000))
-    output = args.output or config.get("output", "trace")
-    trace = run(spec, {"dld": dlds(initial, variant)}, budget)
+    execution = run(spec, {"dld": dlds(initial, variant)}, budget)
     if output == "final":
-        print(trace.steps[-1].state if trace.steps else trace.initial)
-    elif output == "machine":
-        for s in trace.steps:
-            print(f"{s.action} {s.reply} {s.state}")
-        print(trace.terminal.lower())
+        for _ in execution:
+            pass
+        print(execution.render())
     else:
-        print(trace.render())
-    return _EXIT_CODES[trace.terminal]
+        if output == "trace":
+            print(f"init {execution.render()}")
+        for action, reply in execution:
+            print(f"{action} {reply} {execution.render()}")
+        print(execution.terminal.lower())
+    return _EXIT_CODES[execution.terminal]
 
 
 def cmd_check(args) -> int:
@@ -152,10 +170,10 @@ def cmd_check(args) -> int:
     if args.suite in ("axioms", "thm1", "thm2", "thm3", "gc-cross"):
         if any(v is not None for v in
                (args.spots, args.fields, args.atoms, args.modulus)):
-            spots = int(args.spots or 2)
-            fields = int(args.fields or 1)
-            atoms = int(args.atoms or 2)
-            modulus = int(args.modulus or 2)
+            spots = _integer(args.spots or 2, "--spots", 1)
+            fields = _integer(args.fields or 1, "--fields", 1)
+            atoms = _integer(args.atoms or 2, "--atoms", 1)
+            modulus = 2 if args.modulus is None else args.modulus
             kwargs["u"] = small_universe(spots, fields, atoms, modulus)
     if args.suite in ("axioms", "tsu"):
         if args.cases is not None:
@@ -196,7 +214,7 @@ def main(argv=None) -> int:
     p.add_argument("--init", required=True, help="file with the initial state")
     p.add_argument("--service", choices=("plain", "dldr", "afgc"))
     p.add_argument("--max-steps", type=int)
-    p.add_argument("--output", choices=("trace", "final", "machine"))
+    p.add_argument("--output", choices=_OUTPUTS)
     p.set_defaults(func=cmd_run)
 
     p = subs.add_parser("check", help="run a verification suite")

@@ -16,6 +16,7 @@ Combination is union; overriding combination replaces same-keyed links.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DldError
 from .universe import Universe
@@ -76,6 +77,20 @@ def render_link(link: Link) -> str:
     return f"{link[1]}={link[2]}"
 
 
+def sort_key(u: Universe, link: Link) -> tuple:
+    """A link's canonical position: its tag, then its names in the
+    universe's declaration order."""
+    tag = link[0]
+    if tag == SPOT:
+        return (SPOT, u.spot_index[link[1]], u.atom_index[link[2]])
+    if tag == PFLD:
+        return (PFLD, u.atom_index[link[1]], u.field_index[link[2]])
+    if tag == FLD:
+        return (FLD, u.atom_index[link[1]], u.field_index[link[2]],
+                u.atom_index[link[3]])
+    return (VAL, u.atom_index[link[1]], link[2])
+
+
 class DataLinkage:
     """Immutable set of atomic links over a universe.
 
@@ -108,20 +123,8 @@ class DataLinkage:
     def with_links(self, links) -> "DataLinkage":
         return DataLinkage(self.universe, links)
 
-    def sort_key(self, link: Link):
-        u = self.universe
-        tag = link[0]
-        if tag == SPOT:
-            return (SPOT, u.spot_index[link[1]], u.atom_index[link[2]])
-        if tag == PFLD:
-            return (PFLD, u.atom_index[link[1]], u.field_index[link[2]])
-        if tag == FLD:
-            return (FLD, u.atom_index[link[1]], u.field_index[link[2]],
-                    u.atom_index[link[3]])
-        return (VAL, u.atom_index[link[1]], link[2])
-
     def canonical(self) -> tuple:
-        return tuple(sorted(self.links, key=self.sort_key))
+        return tuple(sorted(self.links, key=partial(sort_key, self.universe)))
 
     def canonical_text(self) -> str:
         if not self.links:
@@ -215,8 +218,21 @@ def normalize(term: LinkageTerm, universe: Universe) -> DataLinkage:
 
     The walk keeps its own stack, so a term of any depth folds: each
     operator is visited once to queue its operands, left first, and once
-    more to fold their values."""
-    values: list = []
+    more to fold their values.  A combination's value is a list of links
+    that the fold owns and extends, so a chain of n `+` costs O(n) and
+    builds one DataLinkage; override takes DataLinkage operands."""
+    values: list = []  # DataLinkages and owned link lists
+
+    def linkage(v) -> DataLinkage:
+        return DataLinkage(universe, v) if isinstance(v, list) else v
+
+    def owned(v) -> list:
+        if isinstance(v, list):
+            return v
+        if v.universe is not universe and v.universe != universe:
+            raise DldError("linkages belong to different universes")
+        return list(v.iter_links())
+
     stack = [(term, False)]
     while stack:
         t, operands_done = stack.pop()
@@ -229,8 +245,12 @@ def normalize(term: LinkageTerm, universe: Universe) -> DataLinkage:
         elif operands_done:
             right = values.pop()
             left = values.pop()
-            values.append(left.combine(right) if isinstance(t, TCombine)
-                          else left.override(right))
+            if isinstance(t, TCombine):
+                left = owned(left)
+                left.extend(owned(right))
+                values.append(left)
+            else:
+                values.append(linkage(left).override(linkage(right)))
         else:
             stack += [(t, True), (t.right, False), (t.left, False)]
-    return values[0]
+    return linkage(values[0])

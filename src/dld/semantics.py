@@ -14,7 +14,8 @@ spot matches its single spot link twice).
 
 `perform` gives (next state, reply) from one scan and one guard call;
 `effect` and `yield_` project it, and `evaluate` and `step` also report
-the fired rows as RuleFires for observability.
+the fired rows as RuleFires for observability.  A `Heap` is a Scan that
+run mode updates in place, one guard call and one (drop, add) per step.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import Act
-from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, pflink,
-                      slink, valass)
+from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, link_atoms,
+                      pflink, render_link, slink, sort_key, valass)
 from .meadow import Meadow
 
 
@@ -441,6 +442,98 @@ def evaluate(act: Act, l: DataLinkage, scan: Scan | None = None):
 def step(act: Act, l: DataLinkage) -> StepOutcome:
     state, reply, efire, yfire = evaluate(act, l)
     return StepOutcome(state, reply, (efire, yfire))
+
+
+# --- a state updated in place --------------------------------------------------
+
+class Heap(Scan):
+    """A Scan kept up to date in place, for long runs of one state.
+
+    Besides the Scan's indexes it holds the links in insertion order,
+    each with its sort key and text, and a per-atom occurrence count that
+    serves as `atoms`.  `apply` drops and adds one link each, so a basic
+    action costs one guard call and O(1) index updates, and `render`
+    costs one sort and one join of the kept texts.  The indexes equal
+    those of `Scan(self.linkage())` after every update; run mode holds
+    only deterministic states, where every index list has one entry.
+    """
+
+    __slots__ = ("universe", "links")
+
+    def __init__(self, l: DataLinkage):
+        self.universe = l.universe
+        self.links: dict = {}
+        self.reset(l)
+
+    def reset(self, l: DataLinkage):
+        """Index `l` afresh; the keys and texts of kept links carry over."""
+        Scan.__init__(self, l)
+        old, u = self.links, self.universe
+        self.links = {x: old.get(x) or (sort_key(u, x), render_link(x))
+                      for x in l.iter_links()}
+        counts: dict = {}
+        for link in self.links:
+            for a in link_atoms(link):
+                counts[a] = counts.get(a, 0) + 1
+        self.atoms = counts
+
+    def perform(self, act: Act) -> bool:
+        """The reply of a basic action, whose effect is applied in place."""
+        reply, _, _, _, drop, add = GUARDS[act.name](self.universe, self,
+                                                     *act.args)
+        self.apply(drop, add)
+        return reply
+
+    def apply(self, drop, add):
+        """Drop one link and add one (None: no link), as `_apply` does."""
+        if drop is not None and drop in self.links:
+            del self.links[drop]
+            self._index(drop, -1)
+        if add is not None and add not in self.links:
+            self.links[add] = (sort_key(self.universe, add), render_link(add))
+            self._index(add, 1)
+
+    def _index(self, link, delta):
+        tag = link[0]
+        if tag == SPOT:
+            _update(self.spot, link[1], link[2], delta)
+        elif tag == PFLD:
+            if delta > 0:
+                self.pf.add((link[1], link[2]))
+            else:
+                self.pf.discard((link[1], link[2]))
+        elif tag == FLD:
+            _update(self.fl, (link[1], link[2]), link[3], delta)
+        else:
+            _update(self.val, link[1], link[2], delta)
+        counts = self.atoms
+        for a in link_atoms(link):
+            n = counts.get(a, 0) + delta
+            if n:
+                counts[a] = n
+            else:
+                del counts[a]
+
+    def linkage(self) -> DataLinkage:
+        return DataLinkage(self.universe, self.links)
+
+    def render(self) -> str:
+        """Byte for byte `self.linkage().canonical_text()`."""
+        if not self.links:
+            return "0"
+        return ", ".join(text for _, text in sorted(self.links.values()))
+
+
+def _update(index: dict, key, item, delta):
+    """Append item to, or remove it from, the list index[key]; an empty
+    list goes, as a Scan keeps none."""
+    if delta > 0:
+        index.setdefault(key, []).append(item)
+        return
+    items = index[key]
+    items.remove(item)
+    if not items:
+        del index[key]
 
 
 # --- locally deterministic accessors -----------------------------------------

@@ -10,7 +10,6 @@ stays blocked forever.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .errors import BudgetExhausted, DldError, NonDeterministicState, UnknownFoc
 from .linkage import DataLinkage
 from .reclaim import fgc, perform_dldr
 from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
+from .semantics import Heap
 from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
 
 
@@ -123,6 +123,15 @@ class Service:
 _UNDEF = object()
 
 
+def _accepts(variant: str, method) -> bool:
+    """Whether a linkage service of this variant processes the method."""
+    if not isinstance(method, Act):
+        return False
+    if method.name in BASIC_SIGNATURES:
+        return True
+    return variant != "plain" and method.name in RECLAIM_SIGNATURES
+
+
 class DldService(Service):
     """Service whose states are data linkages.
 
@@ -154,15 +163,8 @@ class DldService(Service):
         succ.state, succ.variant = state, self.variant
         return succ
 
-    def _accepts(self, method) -> bool:
-        if not isinstance(method, Act):
-            return False
-        if method.name in BASIC_SIGNATURES:
-            return True
-        return self.variant != "plain" and method.name in RECLAIM_SIGNATURES
-
     def process(self, method):
-        if self.state is _UNDEF or not self._accepts(method):
+        if self.state is _UNDEF or not _accepts(self.variant, method):
             return BLOCKED, self._next(_UNDEF)
         pre = self.state
         if self.variant == "afgc" and method.name == "getatobj":
@@ -176,6 +178,42 @@ class DldService(Service):
         return self.state.canonical_text()
 
 
+class DldMachine:
+    """A DldService run in place over a Heap, for `run`.
+
+    `process` gives the reply DldService.process gives, but updates this
+    machine and returns it as the successor.  A basic action is one
+    guard call and one in-place update.  The reclamation actions, and
+    afgc's collection before getatobj, run the immutable collectors on
+    `heap.linkage()` and index the result afresh, in time linear in the
+    links as the collectors are.  A Blocked reply leaves the state as it
+    was, since a run stops there and shows the state the call met.
+    """
+
+    def __init__(self, service: DldService):
+        self.variant = service.variant
+        self.heap = None if service.state is _UNDEF else Heap(service.state)
+
+    def process(self, method):
+        heap = self.heap
+        if heap is None or not _accepts(self.variant, method):
+            return BLOCKED, self
+        if method.is_basic:
+            if self.variant == "afgc" and method.name == "getatobj":
+                collected = fgc(heap.linkage())
+                if len(collected) < len(heap.links):
+                    heap.reset(collected)
+            return heap.perform(method), self
+        pre = heap.linkage()
+        state, reply = perform_dldr(method, pre)
+        if state is not pre:
+            heap.reset(state)
+        return reply, self
+
+    def render(self) -> str:
+        return "undef" if self.heap is None else self.heap.render()
+
+
 def dlds(initial: DataLinkage, variant: str = "plain") -> DldService:
     """The linkage service in state `initial`, which must be deterministic."""
     return DldService(initial, variant)
@@ -183,71 +221,62 @@ def dlds(initial: DataLinkage, variant: str = "plain") -> DldService:
 
 # --- the use mechanism --------------------------------------------------------
 
+# work items of `use`: visit a thread, or build a tau prefix or a post
+_VISIT, _TAU, _POST = range(3)
+
+
 def use(t: Thread, focus: str, service: Service, budget: int = 4096,
         spec: Optional[ThreadSpec] = None) -> Thread:
     """Residual thread after the service processes every action of the
     given focus: such actions become tau prefixes of the branch chosen
     by the reply, a Blocked reply becomes deadlock, and everything else
     passes through.  Raises BudgetExhausted when the expansion does not
-    finish within the budget."""
-    remaining = [budget]
+    finish within the budget.
 
-    def go(t, service):
-        if remaining[0] <= 0:
+    The expansion keeps its own stack, so its depth is bounded by the
+    budget alone.  A work item visits a thread with a service, or builds
+    a residual from the residuals of the visits queued before it: a tau
+    prefix from one, a post from two (then branch first)."""
+    remaining = budget
+    done: list = []
+    work: list = [(_VISIT, t, service)]
+    while work:
+        kind, t, service = work.pop()
+        if kind == _TAU:
+            inner = done.pop()
+            done.append(Post(TAU, inner, inner))
+            continue
+        if kind == _POST:
+            orelse = done.pop()
+            done.append(Post(t, done.pop(), orelse))
+            continue
+        if remaining <= 0:
             raise BudgetExhausted(f"use did not finish within {budget} steps")
-        remaining[0] -= 1
+        remaining -= 1
         t = _unfold(t, spec)
         if t is STOP or t is DEADLOCK:
-            return t
+            done.append(t)
+            continue
         if not isinstance(t, Post):
             raise DldError(f"not a thread: {t!r}")
         if t.action is TAU:
-            inner = go(t.then, service)
-            return Post(TAU, inner, inner)
+            work += [(_TAU, None, None), (_VISIT, t.then, service)]
+            continue
         call = t.action
         if call.focus != focus:
-            return Post(call, go(t.then, service), go(t.orelse, service))
+            work += [(_POST, call, None), (_VISIT, t.orelse, service),
+                     (_VISIT, t.then, service)]
+            continue
         reply, successor = service.process(call.method)
         if reply is BLOCKED or reply == BLOCKED:
-            return DEADLOCK
+            done.append(DEADLOCK)
+            continue
         branch = t.then if reply else t.orelse
-        inner = go(branch, successor)
-        return Post(TAU, inner, inner)
-
-    # call depth is bounded by the budget; make room for it
-    old_limit = sys.getrecursionlimit()
-    want = budget + 500
-    if want > old_limit:
-        sys.setrecursionlimit(want)
-    try:
-        return go(t, service)
-    finally:
-        if want > old_limit:
-            sys.setrecursionlimit(old_limit)
+        work += [(_TAU, None, None), (_VISIT, branch, successor)]
+    return done[0]
 
 
 # --- execution ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TraceStep:
-    action: str
-    reply: str
-    state: str
-
-
-@dataclass(frozen=True)
-class ExecTrace:
-    initial: str
-    steps: tuple
-    terminal: str
-
-    def render(self) -> str:
-        lines = [f"init {self.initial}"]
-        for step in self.steps:
-            lines.append(f"{step.action} {step.reply} {step.state}")
-        lines.append(self.terminal.lower())
-        return "\n".join(lines)
-
 
 def _render_services(services: dict) -> str:
     if len(services) == 1:
@@ -257,8 +286,9 @@ def _render_services(services: dict) -> str:
 
 
 def step_thread(t: Thread, spec: Optional[ThreadSpec], services: dict):
-    """One small step.  Returns (next thread, TraceStep or None,
-    terminal name or None); services is updated in place."""
+    """One small step.  Returns (next thread, (action text, reply letter)
+    or None, terminal name or None); services is updated in place, and
+    left as it was on a Blocked reply."""
     t = _unfold(t, spec)
     if t is STOP:
         return t, None, "Stop"
@@ -267,41 +297,57 @@ def step_thread(t: Thread, spec: Optional[ThreadSpec], services: dict):
     if not isinstance(t, Post):
         raise DldError(f"not a thread: {t!r}")
     if t.action is TAU:
-        return (t.then, TraceStep("tau", "T", _render_services(services)), None)
+        return t.then, ("tau", "T"), None
     call = t.action
     if call.focus not in services:
         raise UnknownFocus(f"no service for focus {call.focus!r}")
-    service = services[call.focus]
-    reply, successor = service.process(call.method)
+    reply, successor = services[call.focus].process(call.method)
     if reply is BLOCKED or reply == BLOCKED:
-        return (DEADLOCK,
-                TraceStep(call.text(), "B", _render_services(services)),
-                "Deadlock")
+        return DEADLOCK, (call.text(), "B"), "Deadlock"
     services[call.focus] = successor
-    step = TraceStep(call.text(), "T" if reply else "F",
-                     _render_services(services))
-    return (t.then if reply else t.orelse), step, None
+    return (t.then if reply else t.orelse), (call.text(),
+                                             "T" if reply else "F"), None
 
 
-def run(spec: ThreadSpec, services: dict, budget: int = 1000) -> ExecTrace:
-    """Execute the spec's entry thread to a terminal, recording each
-    performed action with its reply and the service state after it."""
-    services = dict(services)
-    steps = []
-    initial = _render_services(services)
-    t = spec.entry()
-    remaining = budget
-    while True:
-        t = _unfold(t, spec)
-        if t is STOP:
-            return ExecTrace(initial, tuple(steps), "Stop")
-        if t is DEADLOCK:
-            return ExecTrace(initial, tuple(steps), "Deadlock")
-        if remaining <= 0:
-            return ExecTrace(initial, tuple(steps), "BudgetExhausted")
-        t, step, terminal = step_thread(t, spec, services)
-        if step is not None:
-            steps.append(step)
-            remaining -= 1
-        if terminal is not None:
-            return ExecTrace(initial, tuple(steps), terminal)
+class Run:
+    """A run of a spec's entry thread, one step per iteration.
+
+    Iterating yields (action text, reply letter) for each performed
+    action, T, F or B; `render()` shows the services' states at that
+    point, and `terminal` names how the run ended (Stop, Deadlock or
+    BudgetExhausted) once the iteration is over, None before.  The run
+    works on its own copy of the services, with each DldService swapped
+    for a DldMachine, so nothing is rendered unless asked for and the
+    caller's services stay untouched."""
+
+    def __init__(self, spec: ThreadSpec, services: dict, budget: int):
+        self.services = {f: DldMachine(svc) if isinstance(svc, DldService)
+                         else svc for f, svc in services.items()}
+        self.terminal = None
+        self._steps = self._go(spec, budget)
+
+    def __iter__(self):
+        return self._steps
+
+    def _go(self, spec, budget):
+        t = spec.entry()
+        remaining = budget
+        while self.terminal is None:
+            t = _unfold(t, spec)
+            if remaining <= 0 and t is not STOP and t is not DEADLOCK:
+                self.terminal = "BudgetExhausted"
+                return
+            t, step, terminal = step_thread(t, spec, self.services)
+            if step is not None:
+                remaining -= 1
+                yield step
+            self.terminal = terminal
+
+    def render(self) -> str:
+        return _render_services(self.services)
+
+
+def run(spec: ThreadSpec, services: dict, budget: int = 1000) -> Run:
+    """Execute the spec's entry thread to a terminal, step by step as
+    the returned Run is iterated."""
+    return Run(spec, services, budget)

@@ -205,3 +205,42 @@ def test_roundtrip_all_small_linkages():
     u = small_universe(2, 1, 2, 2)
     for l in enumerate_linkages(u):
         assert parse_linkage(l.canonical_text(), u) == l
+
+
+@pytest.mark.parametrize("settings,flags,named", [
+    ("modulus=abc", [], "modulus"),
+    ("modulus=11\nmax_steps=abc", [], "max_steps"),
+    ("modulus=11\nmax_steps=-1", [], "max_steps"),
+    ("modulus=11\noutput=bogus", [], "output"),
+    ("modulus=11", ["--max-steps", "-3"], "--max-steps"),
+])
+def test_bad_run_settings_are_user_errors(capsys, tmp_path, settings, flags,
+                                          named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"spots=r\nfields=up\natoms=2\n{settings}\n")
+    init = tmp_path / "init.txt"
+    init.write_text("0\n")
+    spec = tmp_path / "spec.thread"
+    spec.write_text("main = getatobj(r) ; S\n")
+    err = _user_error(capsys, ["run", "--config", str(cfg), "--spec", str(spec),
+                               "--init", str(init), *flags])
+    assert named in err
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_check_bounds_are_user_errors(capsys):
+    assert "--spots" in _user_error(capsys, ["check", "thm2", "--spots", "abc"])
+    assert "--atoms" in _user_error(capsys, ["check", "thm2", "--atoms", "-1"])
+    assert "prime" in _user_error(capsys, ["check", "thm2", "--modulus", "0"])
+
+
+def test_long_combine_chains_fold_in_linear_time(capsys, tmp_path):
+    import time
+    path = tmp_path / "wide.cfg"
+    path.write_text("spots=s\nfields=f\natoms=10000\nmodulus=2\n")
+    chain = " + ".join(f"{{s:#{i}}}" for i in reversed(range(10_000)))
+    start = time.perf_counter()
+    assert main(["normalize", "--config", str(path), chain]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out == \
+        ", ".join(f"s:#{i}" for i in range(10_000)) + "\n"

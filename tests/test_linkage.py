@@ -119,3 +119,26 @@ def test_multi_key_override_follows_the_axioms():
     oracle = normalize_by_axioms(
         TOverride(TLit(L("s:#0")), TLit(L("s:#1, t:#2"))), U)
     assert oracle == L("s:#0, s:#1, t:#2")
+
+
+def _fold_pairwise(term):
+    """normalize as one DataLinkage per operator, the reference that the
+    chain-folding normalize must match link for link."""
+    if isinstance(term, TEmpty):
+        return DataLinkage.empty(U)
+    if isinstance(term, TLit):
+        return term.linkage
+    left, right = _fold_pairwise(term.left), _fold_pairwise(term.right)
+    return left.combine(right) if isinstance(term, TCombine) else left.override(right)
+
+
+def test_normalize_keeps_the_pairwise_link_order():
+    rng = random.Random(5)
+    for _ in range(500):
+        term = random_term(rng, U, 6)
+        assert normalize(term, U).iter_links() == _fold_pairwise(term).iter_links()
+    chain = TLit(L("s:#2, #0=1"))
+    for text in ("s:#0", "#0=1", "t:#1, s:#2", "0"):
+        chain = TCombine(chain, TLit(L(text)))
+    chain = TCombine(TLit(L("#1.f:?")), TOverride(chain, TLit(L("s:#1"))))
+    assert normalize(chain, U).iter_links() == _fold_pairwise(chain).iter_links()

@@ -1,14 +1,20 @@
 import random
+import sys
 
 import pytest
 
 from dld import Act, DataLinkage
-from dld.checks import random_service, random_thread, thread_equal
+from dld.actions import all_actions, all_reclaim_actions
+from dld.checks import enumerate_deterministic, random_service
 from dld.errors import BudgetExhausted, DldError, NonDeterministicState, UnknownFocus
+from dld.linkage import flink, pflink, slink, valass
 from dld.parsing import parse_linkage
 from dld.scripts import parse_spec
-from dld.threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldService, Post,
-                         Ref, ThreadSpec, dlds, prefix, run, step_thread, use)
+from dld.semantics import Scan
+from dld.threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
+                         DldService, Post, Ref, Service, ThreadSpec, dlds,
+                         prefix, run, step_thread, use)
+from dld.universe import small_universe
 
 
 def A(name, *args):
@@ -119,8 +125,8 @@ def test_afgc_collects_once_per_getatobj(tiny_universe, monkeypatch):
     u = tiny_universe
     state = parse_linkage("s:#0, #1.f:#1", u)
     spec = parse_spec("main = getatobj(t) ; clrspot(t) ; getatobj(t) ; S", u)
-    trace = run(spec, {"dld": dlds(state, "afgc")})
-    assert [step.reply for step in trace.steps] == ["T", "T", "T"]
+    steps = list(run(spec, {"dld": dlds(state, "afgc")}))
+    assert [reply for _, reply in steps] == ["T", "T", "T"]
     assert len(calls) == 2
     calls.clear()
     assert use(spec.entry(), "dld", dlds(state, "afgc")) is not DEADLOCK
@@ -130,30 +136,32 @@ def test_afgc_collects_once_per_getatobj(tiny_universe, monkeypatch):
 def test_run_unknown_focus_raises(demo_universe):
     spec = parse_spec("main = aux.m ; S", demo_universe)
     with pytest.raises(UnknownFocus):
-        run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
+        list(run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10))
 
 
 def test_run_tau_loop_budget(demo_universe):
     spec = parse_spec("main = X\nX = tau . X", demo_universe)
     trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 25)
+    steps = list(trace)
     assert trace.terminal == "BudgetExhausted"
-    assert len(trace.steps) == 25
-    assert all(s.action == "tau" for s in trace.steps)
+    assert len(steps) == 25
+    assert all(action == "tau" for action, _ in steps)
 
 
 def test_run_immediate_deadlock(demo_universe):
     spec = parse_spec("main = D", demo_universe)
     trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
-    assert trace.terminal == "Deadlock" and not trace.steps
+    assert not list(trace) and trace.terminal == "Deadlock"
 
 
 def test_run_branches_on_reply(demo_universe, L):
     script = "main = undeftst(r) ? getatobj(r) ; S : D"
     spec = parse_spec(script, demo_universe)
     trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
+    assert [action for action, _ in trace] == ["undeftst(r)", "getatobj(r)"]
     assert trace.terminal == "Stop"
-    assert [s.action for s in trace.steps] == ["undeftst(r)", "getatobj(r)"]
     trace = run(spec, {"dld": dlds(L("r:#0"))}, 10)
+    list(trace)
     assert trace.terminal == "Deadlock"
 
 
@@ -161,14 +169,23 @@ def test_run_keeps_services_untouched_without_actions(demo_universe):
     spec = parse_spec("main = tau . tau . S", demo_universe)
     svc = dlds(DataLinkage.empty(demo_universe))
     trace = run(spec, {"dld": svc}, 10)
+    assert all(trace.render() == "0" for _ in trace)
     assert trace.terminal == "Stop"
-    assert all(s.state == "0" for s in trace.steps)
+
+
+def test_run_leaves_the_callers_services_untouched(demo_universe):
+    spec = parse_spec("main = getatobj(r) ; getatobj(t) ; S", demo_universe)
+    services = {"dld": dlds(DataLinkage.empty(demo_universe))}
+    trace = run(spec, services, 10)
+    assert [trace.render() for _ in trace] == ["r:#0", "r:#0, t:#1"]
+    assert services["dld"].render() == "0"
+    assert isinstance(services["dld"], DldService)
 
 
 def test_step_thread(demo_universe):
     services = {"dld": dlds(DataLinkage.empty(demo_universe))}
     t, step, terminal = step_thread(prefix(TAU, STOP), None, services)
-    assert step.action == "tau" and terminal is None and t is STOP
+    assert step == ("tau", "T") and terminal is None and t is STOP
     t, step, terminal = step_thread(STOP, None, services)
     assert terminal == "Stop"
     spec = ThreadSpec({"X": STOP}, "X")
@@ -176,11 +193,18 @@ def test_step_thread(demo_universe):
     assert terminal == "Stop"
 
 
+def _trace_text(trace) -> str:
+    """The lines `dld run --output trace` prints for a run."""
+    lines = [f"init {trace.render()}"]
+    lines += [f"{action} {reply} {trace.render()}" for action, reply in trace]
+    return "\n".join(lines + [trace.terminal.lower()])
+
+
 def test_trace_render_is_stable(demo_universe):
     script = "main = getatobj(r) ; getatobj(t) ; S"
     spec = parse_spec(script, demo_universe)
-    out1 = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10).render()
-    out2 = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10).render()
+    out1 = _trace_text(run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10))
+    out2 = _trace_text(run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10))
     assert out1 == out2
     assert out1.splitlines()[0] == "init 0"
     assert out1.splitlines()[-1] == "stop"
@@ -204,8 +228,8 @@ def test_script_parse_errors(demo_universe):
 def test_bare_trailing_action_terminates(demo_universe):
     spec = parse_spec("main = getatobj(r)", demo_universe)
     trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
+    assert [action for action, _ in trace] == ["getatobj(r)"]
     assert trace.terminal == "Stop"
-    assert [s.action for s in trace.steps] == ["getatobj(r)"]
 
 
 def test_tsu_axioms_randomized():
@@ -229,3 +253,179 @@ def test_blocked_absorption_randomized():
             if r == BLOCKED:
                 blocked = True
             svc = svc.derive(m)
+
+
+# --- use on long threads ------------------------------------------------------
+
+class _LimitWatch(Service):
+    """A service that checks, on every call, that the process's recursion
+    limit is the one it was built under."""
+
+    def __init__(self, inner, limit):
+        self.inner, self.limit = inner, limit
+
+    def process(self, method):
+        assert sys.getrecursionlimit() == self.limit
+        reply, succ = self.inner.process(method)
+        return reply, _LimitWatch(succ, self.limit)
+
+
+def _same_thread(t1, t2) -> bool:
+    """Thread equality by an explicit walk; dataclass == recurses once
+    per level, which a long residual thread overflows."""
+    work, seen = [(t1, t2)], set()
+    while work:
+        a, b = work.pop()
+        if (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if not (isinstance(a, Post) and isinstance(b, Post)):
+            if a is not b:
+                return False
+        elif a.action != b.action:
+            return False
+        else:
+            work += [(a.then, b.then), (a.orelse, b.orelse)]
+    return True
+
+
+def test_use_runs_long_threads_under_the_default_recursion_limit(demo_universe):
+    limit = sys.getrecursionlimit()
+    svc = _LimitWatch(dlds(DataLinkage.empty(demo_universe)), limit)
+    spec = parse_spec("main = X\nX = getatobj(r) ; clrspot(r) ; X", demo_universe)
+    with pytest.raises(BudgetExhausted):
+        use(spec.entry(), "dld", svc, budget=100_000, spec=spec)
+    assert sys.getrecursionlimit() == limit
+
+    # a finite thread 40,000 actions deep over one other-focus action:
+    # each dld action becomes a tau prefix, and the other action passes
+    # through, its two branches visited apart
+    n = 40_000
+    t = want = prefix(Call("aux", "m"), STOP)
+    for i in range(n):
+        act = A("getatobj", "r") if i % 2 else A("clrspot", "r")
+        t = prefix(Call("dld", act), t)
+        want = prefix(TAU, want)
+    out = use(t, "dld", svc, budget=n + 3)
+    assert _same_thread(out, want)
+    assert not _same_thread(out, prefix(TAU, want))
+    with pytest.raises(BudgetExhausted):
+        use(t, "dld", svc, budget=n + 2)
+    assert sys.getrecursionlimit() == limit
+
+
+# --- the run engine against DldService ---------------------------------------
+
+def _check_step(svc, machine, act):
+    """One action on the reference service and on the machine: the same
+    reply, and the state the service moves to (the one it was in, on a
+    Blocked reply).  Returns the service's successor."""
+    reply, succ = svc.process(act)
+    got, same = machine.process(act)
+    blocked = reply == BLOCKED
+    assert same is machine
+    assert (got, machine.render()) == (reply, (svc if blocked else succ).render()), \
+        f"{svc.variant} {act.text()} on {svc.render()}"
+    return svc if blocked else succ
+
+
+def test_machine_matches_the_service_on_every_deterministic_state():
+    # every state and action on dldr; plain and afgc on every state for
+    # the actions where they differ from dldr (the reclamation actions
+    # block on plain, afgc collects before getatobj) and on every eighth
+    # state for the rest, which take dldr's code path
+    u = small_universe(2, 1, 2, 2)
+    acts = all_actions(u)
+    assert len(acts) == 102
+    differs = {"plain": set(all_reclaim_actions(u)),
+               "afgc": {a for a in acts if a.name == "getatobj"}}
+    steps = 0
+    for i, l in enumerate(enumerate_deterministic(u)):
+        for variant in DldService.VARIANTS:
+            svc = DldService(l, variant)
+            for act in acts:
+                if variant != "dldr" and i % 8 and act not in differs[variant]:
+                    continue
+                _check_step(svc, DldMachine(svc), act)
+                steps += 1
+    assert i + 1 == 1296
+    assert steps == 1296 * (102 + 38 + 2) + 162 * (64 + 100)
+
+
+def _random_deterministic(rng, u) -> DataLinkage:
+    links = [slink(s, rng.choice(u.atoms)) for s in u.spots if rng.random() < 0.7]
+    for a in u.atoms:
+        for f in u.fields:
+            pick = rng.random()
+            if pick < 0.3:
+                links.append(pflink(a, f))
+            elif pick < 0.6:
+                links.append(flink(a, f, rng.choice(u.atoms)))
+        if rng.random() < 0.5:
+            links.append(valass(a, rng.randrange(u.modulus)))
+    rng.shuffle(links)
+    return DataLinkage(u, links)
+
+
+def _assert_indexes_current(heap):
+    scan = Scan(heap.linkage())
+    assert (heap.spot, heap.pf, heap.fl, heap.val) == \
+        (scan.spot, scan.pf, scan.fl, scan.val)
+    assert set(heap.atoms) == scan.atoms and all(heap.atoms.values())
+
+
+@pytest.mark.parametrize("bounds", [(3, 2, 3, 3), (3, 2, 6, 5)])
+def test_machine_matches_the_service_on_random_traces(bounds):
+    u = small_universe(*bounds)
+    acts = all_actions(u)
+    rng = random.Random(sum(bounds))
+    for _ in range(150):
+        svc = DldService(_random_deterministic(rng, u),
+                         rng.choice(DldService.VARIANTS))
+        machine = DldMachine(svc)
+        for _ in range(100):
+            svc = _check_step(svc, machine, rng.choice(acts))
+            _assert_indexes_current(machine.heap)
+
+
+def test_machine_keeps_its_state_on_a_blocked_reply(demo_universe, L):
+    machine = DldMachine(dlds(L("r:#0, #0.up:?")))
+    assert machine.process(A("fgc")) == (BLOCKED, machine)
+    assert machine.process("nonsense") == (BLOCKED, machine)
+    assert machine.render() == "r:#0, #0.up:?"
+    undef = DldMachine(dlds(L("r:#0")).derive("nonsense"))
+    assert undef.process(A("clrspot", "r")) == (BLOCKED, undef)
+    assert undef.render() == "undef"
+
+
+def test_final_output_renders_once_and_scans_once(tmp_path, capsys, monkeypatch):
+    from dld.cli import main
+    counts = {"render": 0, "scan": 0}
+    render, scan = DataLinkage.canonical_text, Scan.__init__
+
+    def counted_render(self):
+        counts["render"] += 1
+        return render(self)
+
+    def counted_scan(self, l):
+        counts["scan"] += 1
+        scan(self, l)
+
+    monkeypatch.setattr(DataLinkage, "canonical_text", counted_render)
+    monkeypatch.setattr(Scan, "__init__", counted_scan)
+    nodes = 500
+    (tmp_path / "u.cfg").write_text(
+        f"spots=r,t\nfields=up\natoms={nodes}\nmodulus=2\n")
+    (tmp_path / "init.txt").write_text("0\n")
+    (tmp_path / "list.thread").write_text(
+        "main = X\nX = getatobj(r) ? addfield(r,up) ; setfield(r,up,t) ; "
+        "setspot(t,r) ; X : S\n")
+    assert main(["run", "--config", str(tmp_path / "u.cfg"),
+                 "--spec", str(tmp_path / "list.thread"),
+                 "--init", str(tmp_path / "init.txt"),
+                 "--output", "final", "--max-steps", "5000"]) == 0
+    last = f"#{nodes - 1}"
+    want = ", ".join([f"r:{last}", f"t:{last}", "#0.up:?"]
+                     + [f"#{k}.up:#{k - 1}" for k in range(1, nodes)])
+    assert capsys.readouterr().out == want + "\n"
+    assert counts["render"] <= 1 and counts["scan"] <= 1
