@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dld import Act, DataLinkage
@@ -6,7 +8,8 @@ from dld.errors import NonDeterministicState
 from dld.parsing import parse_linkage
 from dld.refine import (check_commutation, enumerate_states, represent,
                         retrieve)
-from dld.set_model import SetState, is_tight
+from dld.set_model import (SetState, effect_set_reclaim, is_tight,
+                           yield_set_reclaim)
 from dld.universe import small_universe
 
 
@@ -94,3 +97,29 @@ def test_enumerate_states_monotone_in_bounds(tiny_universe):
         st.check_invariants()
     tight = sum(1 for _ in enumerate_states(u, tight_only=True))
     assert tight < total
+
+
+# sha256 of the lines "<action> <state> -> <next state> <reply>" below
+FRESH_ATOM_NONTIGHT_DIGEST = (
+    "3bda700730820d36f89c98360c7b3622e5fa6bd44eb14ec7d4055aef704ff685")
+
+
+def test_fresh_atom_actions_on_nontight_states_are_pinned(tiny_universe):
+    # thm3 only expects the fresh-atom family to fail on non-tight
+    # states; this pins what the set side actually does there
+    u = tiny_universe
+    lines = []
+    nontight = [st for st in enumerate_states(u) if not is_tight(st)]
+    for st in nontight:
+        for name in ("getatobj", "sdgetatobj", "udgetatobj"):
+            for s in u.spots:
+                act = Act(name, (s,))
+                nxt = effect_set_reclaim(act, st)
+                lines.append(f"{act} {st.describe()} -> {nxt.describe()} "
+                             f"{yield_set_reclaim(act, st)}")
+    assert len(nontight) == 73 and len(lines) == 438
+    assert lines[0] == ("getatobj(s) sigma s->_, t->_ / zeta #0:{} / xi #0=_"
+                        " -> sigma s->#1, t->_ / zeta #0:{}; #1:{}"
+                        " / xi #0=_, #1=_ True")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FRESH_ATOM_NONTIGHT_DIGEST
