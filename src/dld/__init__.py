@@ -23,8 +23,9 @@ from .semantics import (NONDET, RuleFire, StepOutcome, effect, field_content,
                         fields_of, perform, spot_content, step, value_of,
                         yield_)
 from .set_model import (SetState, effect_set, effect_set_reclaim, incycle,
-                        is_tight, reach_atoms, reach_from, sd_set, tighten,
-                        ud_set, yield_set, yield_set_reclaim)
+                        is_tight, perform_set, perform_set_reclaim,
+                        reach_atoms, reach_from, sd_set, tighten, ud_set,
+                        yield_set, yield_set_reclaim)
 from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
                       DldService, Post, Ref, Run, Service, ThreadSpec, dlds,
                       run, step_thread, use)

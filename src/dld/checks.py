@@ -199,7 +199,7 @@ def _axiom_cases(rng: random.Random, u: Universe):
 
 def suite_axioms(u: Universe | None = None, cases: int = 100,
                  seed: int = 0) -> Summary:
-    u = u or small_universe(3, 2, 3, 3)
+    u = u or default_universe("axioms")
     rng = random.Random(seed)
     summary = Summary("axioms")
     for _ in range(cases):
@@ -214,15 +214,20 @@ def suite_axioms(u: Universe | None = None, cases: int = 100,
 
 # --- normalization suite --------------------------------------------------------
 
-def suite_thm1(u: Universe | None = None, terms: int = 1000,
-               oracle_samples: int = 100, depth: int = 6,
+# how many of thm1's terms are also normalized by chaining axioms, and
+# how deep its random terms nest
+_THM1_ORACLE_SAMPLES = 100
+_THM1_DEPTH = 6
+
+
+def suite_thm1(u: Universe | None = None, cases: int = 1000,
                seed: int = 0) -> Summary:
-    u = u or small_universe(2, 2, 3, 3)
+    u = u or default_universe("thm1")
     rng = random.Random(seed)
     summary = Summary("thm1")
-    sampled = set(rng.sample(range(terms), min(oracle_samples, terms)))
-    for i in range(terms):
-        term = random_term(rng, u, depth)
+    sampled = set(rng.sample(range(cases), min(_THM1_ORACLE_SAMPLES, cases)))
+    for i in range(cases):
+        term = random_term(rng, u, _THM1_DEPTH)
         nf = normalize(term, u)
         ok = normalize(TCombine(term, term), u) == nf
         ok = ok and normalize(TCombine(TLit(nf), TLit(nf)), u) == nf
@@ -234,71 +239,69 @@ def suite_thm1(u: Universe | None = None, terms: int = 1000,
 
 # --- uniqueness / totality suite -------------------------------------------------
 
-def suite_thm2(u: Universe | None = None, shuffles: int = 5, seed: int = 0,
-               nondet_reclaim_samples: int = 300) -> Summary:
+# shuffled link orders per state for the basic and the reclamation
+# actions, and how many random states the reclamation half samples for
+# its non-deterministic ones
+_THM2_SHUFFLES = 5
+_THM2_RECLAIM_SHUFFLES = 2
+_THM2_NONDET_SAMPLES = 300
+
+
+def suite_thm2(u: Universe | None = None, seed: int = 0) -> Summary:
     """Every basic action on every state, re-evaluated under shuffled
     link orders; reclamation actions likewise on every deterministic
     state plus sampled non-deterministic ones."""
-    u = u or small_universe(2, 1, 2, 2)
+    u = u or default_universe("thm2")
     rng = random.Random(seed)
     summary = Summary("thm2")
     basic = all_basic_actions(u)
     reclaim = all_reclaim_actions(u)
 
-    states = list(enumerate_linkages(u))
-    for l in states:
+    def basic_outcomes(l):
         scan = Scan(l)
-        base = [perform(a, l, scan) for a in basic]
-        agree = [True] * len(basic)
+        return [perform(a, l, scan) for a in basic]
+
+    states = list(enumerate_linkages(u))
+    _check_shuffles(summary, rng, states, basic, basic_outcomes,
+                    _THM2_SHUFFLES)
+    det = list(enumerate_deterministic(u))
+    nondet = [l for l in rng.sample(states, min(_THM2_NONDET_SAMPLES,
+                                                len(states)))
+              if not l.is_deterministic()]
+    _check_shuffles(summary, rng, det + nondet, reclaim,
+                    lambda l: [perform_dldr(a, l) for a in reclaim],
+                    _THM2_RECLAIM_SHUFFLES)
+    return summary
+
+
+def _check_shuffles(summary, rng, states, actions, outcomes, shuffles):
+    """Record, per state and action, whether the (next state, reply)
+    outcome has a bool reply and stays the same when the state's links
+    come in shuffled orders; `outcomes(l)` lists one per action."""
+    for l in states:
+        base = outcomes(l)
+        agree = [isinstance(reply, bool) for _, reply in base]
         for _ in range(shuffles):
             order = list(l.iter_links())
             rng.shuffle(order)
-            l2 = DataLinkage(u, order)
-            scan2 = Scan(l2)
-            for j, a in enumerate(basic):
-                if not agree[j]:
-                    continue
-                if perform(a, l2, scan2) != base[j]:
-                    agree[j] = False
-        for j, a in enumerate(basic):
-            if agree[j] and isinstance(base[j][1], bool):
+            again = outcomes(DataLinkage(l.universe, order))
+            agree = [ok and x == y for ok, x, y in zip(agree, again, base)]
+        for a, ok in zip(actions, agree):
+            if ok:
                 summary.ok()
             else:
-                summary.fail(f"{a} on {l.canonical_text()}: diverged under shuffle")
-
-    det = list(enumerate_deterministic(u))
-    nondet = [l for l in rng.sample(states, min(nondet_reclaim_samples,
-                                                len(states)))
-              if not l.is_deterministic()]
-    for l in det + nondet:
-        base = [perform_dldr(a, l) for a in reclaim]
-        agree = [True] * len(reclaim)
-        for _ in range(2):
-            order = list(l.iter_links())
-            rng.shuffle(order)
-            l2 = DataLinkage(u, order)
-            for j, a in enumerate(reclaim):
-                if not agree[j]:
-                    continue
-                if perform_dldr(a, l2) != base[j]:
-                    agree[j] = False
-        for j, a in enumerate(reclaim):
-            if agree[j]:
-                summary.ok()
-            else:
-                summary.fail(f"{a} on {l.canonical_text()}: diverged under shuffle")
-    return summary
+                summary.fail(f"{a} on {l.canonical_text()}: "
+                             "diverged under shuffle")
 
 
 # --- differential suite -----------------------------------------------------------
 
-def suite_thm3(u: Universe | None = None, include_nontight: bool = False,
-               max_atoms: int | None = None) -> Summary:
-    u = u or small_universe(2, 1, 2, 2)
+def suite_thm3(u: Universe | None = None,
+               include_nontight: bool = False) -> Summary:
+    u = u or default_universe("thm3")
     summary = Summary("thm3")
     instances = all_basic_actions(u) + all_reclaim_actions(u)
-    for st in enumerate_states(u, max_atoms=max_atoms,
-                               tight_only=not include_nontight):
+    for st in enumerate_states(u, tight_only=not include_nontight):
         for act in instances:
             verdict = check_commutation(act, st)
             if verdict.passed:
@@ -311,7 +314,7 @@ def suite_thm3(u: Universe | None = None, include_nontight: bool = False,
 # --- garbage collection cross-model suite -----------------------------------------
 
 def suite_gc_cross(u: Universe | None = None, seed: int = 0) -> Summary:
-    u = u or small_universe(2, 1, 2, 2)
+    u = u or default_universe("gc-cross")
     rng = random.Random(seed)
     summary = Summary("gc-cross")
     for st in enumerate_states(u, tight_only=True):
@@ -396,7 +399,7 @@ def thread_equal(t1, t2, depth: int = 32, spec: ThreadSpec | None = None) -> boo
             and thread_equal(t1.orelse, t2.orelse, depth - 1, spec))
 
 
-def suite_tsu(cases: int = 500, depth: int = 32, seed: int = 0) -> Summary:
+def suite_tsu(cases: int = 500, seed: int = 0) -> Summary:
     rng = random.Random(seed)
     summary = Summary("tsu")
     methods = ["m1", "m2", "m3"]
@@ -415,12 +418,12 @@ def suite_tsu(cases: int = 500, depth: int = 32, seed: int = 0) -> Summary:
 
         lhs = use(Post(TAU, x, y), f, h)
         inner = use(x, f, h)
-        summary.record(thread_equal(lhs, Post(TAU, inner, inner), depth),
+        summary.record(thread_equal(lhs, Post(TAU, inner, inner)),
                        f"case {i}: TSU3")
 
         lhs = use(Post(Call(g, m), x, y), f, h)
         rhs = Post(Call(g, m), use(x, f, h), use(y, f, h))
-        summary.record(thread_equal(lhs, rhs, depth), f"case {i}: TSU4")
+        summary.record(thread_equal(lhs, rhs), f"case {i}: TSU4")
 
         reply, successor = h.process(m)
         lhs = use(Post(Call(f, m), x, y), f, h)
@@ -430,7 +433,7 @@ def suite_tsu(cases: int = 500, depth: int = 32, seed: int = 0) -> Summary:
             branch = x if reply else y
             inner = use(branch, f, successor)
             axiom = "TSU5" if reply else "TSU6"
-            summary.record(thread_equal(lhs, Post(TAU, inner, inner), depth),
+            summary.record(thread_equal(lhs, Post(TAU, inner, inner)),
                            f"case {i}: {axiom}")
 
         # blocked replies are absorbing along any method sequence
@@ -457,3 +460,19 @@ SUITES = {
     "gc-cross": suite_gc_cross,
     "tsu": suite_tsu,
 }
+
+# what `dld check` may pass each suite: the bounds of the universe it
+# checks unless told otherwise (spots, fields, atoms, modulus; None for a
+# suite without one) and the keywords of the other options it takes
+SUITE_OPTIONS = {
+    "axioms": ((3, 2, 3, 3), ("cases", "seed")),
+    "thm1": ((2, 2, 3, 3), ("cases", "seed")),
+    "thm2": ((2, 1, 2, 2), ("seed",)),
+    "thm3": ((2, 1, 2, 2), ("include_nontight",)),
+    "gc-cross": ((2, 1, 2, 2), ("seed",)),
+    "tsu": (None, ("cases", "seed")),
+}
+
+
+def default_universe(suite: str) -> Universe:
+    return small_universe(*SUITE_OPTIONS[suite][0])

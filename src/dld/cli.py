@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import SUITES
+from .checks import SUITE_OPTIONS, SUITES
 from .errors import DldError
 from .linkage import normalize
 from .parsing import parse_action_list, parse_linkage, parse_term
@@ -163,27 +163,28 @@ def cmd_run(args) -> int:
     return _EXIT_CODES[execution.terminal]
 
 
+_BOUNDS = ("spots", "fields", "atoms", "modulus")
+
+
 def cmd_check(args) -> int:
     if args.cases is not None and args.cases < 0:
         raise DldError(f"--cases must not be negative, got {args.cases}")
-    kwargs = {}
-    if args.suite in ("axioms", "thm1", "thm2", "thm3", "gc-cross"):
-        if any(v is not None for v in
-               (args.spots, args.fields, args.atoms, args.modulus)):
-            spots = _integer(args.spots or 2, "--spots", 1)
-            fields = _integer(args.fields or 1, "--fields", 1)
-            atoms = _integer(args.atoms or 2, "--atoms", 1)
-            modulus = 2 if args.modulus is None else args.modulus
-            kwargs["u"] = small_universe(spots, fields, atoms, modulus)
-    if args.suite in ("axioms", "tsu"):
-        if args.cases is not None:
-            kwargs["cases"] = args.cases
-    if args.suite == "thm1" and args.cases is not None:
-        kwargs["terms"] = args.cases
-    if args.suite == "thm3":
-        kwargs["include_nontight"] = args.include_nontight
-    if args.suite in ("axioms", "thm1", "thm2", "gc-cross", "tsu"):
-        kwargs["seed"] = args.seed
+    bounds, takes = SUITE_OPTIONS[args.suite]
+    given = {"cases": args.cases, "seed": args.seed,
+             "include_nontight": args.include_nontight or None}
+    given.update((name, getattr(args, name)) for name in _BOUNDS)
+    given = {key: value for key, value in given.items() if value is not None}
+    for key in given:
+        if key not in takes + (_BOUNDS if bounds else ()):
+            flag = "--" + key.replace("_", "-")
+            raise DldError(f"{args.suite} does not take {flag}")
+    kwargs = {key: given[key] for key in takes if key in given}
+    if given.keys() & set(_BOUNDS):
+        spots, fields, atoms, modulus = (
+            given.get(name, bound) for name, bound in zip(_BOUNDS, bounds))
+        kwargs["u"] = small_universe(_integer(spots, "--spots", 1),
+                                     _integer(fields, "--fields", 1),
+                                     _integer(atoms, "--atoms", 1), modulus)
     summary = SUITES[args.suite](**kwargs)
     for detail in summary.failures:
         print(f"FAIL {detail}")
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     p.add_argument("--atoms")
     p.add_argument("--modulus", type=int)
     p.add_argument("--cases", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--include-nontight", action="store_true",
                    help="also check states with invisible in-use atoms")
     p.set_defaults(func=cmd_check)

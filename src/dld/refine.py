@@ -14,8 +14,8 @@ from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, pflink,
                       slink, valass)
 from .reclaim import perform_dldr
 from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
-from .set_model import (SetState, effect_set_reclaim, is_tight,
-                        yield_set_reclaim)
+from .set_model import SetState, is_tight, perform_set_reclaim
+from .set_model import effect_set_reclaim, yield_set_reclaim  # noqa: F401  (timed by perfbench)
 from .universe import Universe
 
 
@@ -86,8 +86,8 @@ def check_commutation(act: Act, st: SetState) -> CommutationVerdict:
     (as a canonical linkage) and the reply must agree."""
     l = retrieve(st)
     rewrite_state, rewrite_reply = perform_dldr(act, l)
-    set_state = retrieve(effect_set_reclaim(act, st))
-    set_reply = yield_set_reclaim(act, st)
+    set_next, set_reply = perform_set_reclaim(act, st)
+    set_state = retrieve(set_next)
     passed = rewrite_state == set_state and rewrite_reply == set_reply
     return CommutationVerdict(
         action=act, state=st, passed=passed, tight=is_tight(st),

@@ -114,119 +114,84 @@ def _set_value(st: SetState, a: str, value) -> SetState:
     return st.replace(xi=xi)
 
 
-# --- effect and yield of the basic actions ----------------------------------
+# --- the basic actions -------------------------------------------------------
 
-def effect_set(act: Act, st: SetState) -> SetState:
+_FIELD_ACTIONS = ("addfield", "rmvfield", "hasfield", "setfield", "clrfield")
+# the value each assignment gives the first spot's atom, from the values
+# of the atoms in the other spots
+_ARITHMETIC = {"asszero": Meadow.zero, "assone": Meadow.one,
+               "assadd": Meadow.add, "assmul": Meadow.mul,
+               "assneg": Meadow.neg, "assinv": Meadow.inv}
+
+
+def perform_set(act: Act, st: SetState) -> tuple:
+    """(next state, reply) of a basic action.  Each action's condition is
+    tested once; when it fails the state stays and the reply is False."""
     name, args = act.name, act.args
     if name == "getatobj":
         fresh = st.universe.choose_fresh(st.zeta)
         if fresh is None:
-            return st
+            return st, False
         sigma = dict(st.sigma)
         sigma[args[0]] = fresh
         zeta = {x: dict(fm) for x, fm in st.zeta.items()}
         zeta[fresh] = {}
         xi = dict(st.xi)
         xi[fresh] = None
-        return st.replace(sigma=sigma, zeta=zeta, xi=xi)
+        return st.replace(sigma=sigma, zeta=zeta, xi=xi), True
     if name == "setspot":
-        return _set_spot(st, args[0], st.sigma[args[1]])
+        return _set_spot(st, args[0], st.sigma[args[1]]), True
     if name == "clrspot":
-        return _set_spot(st, args[0], None)
-    if name in ("equaltst", "undeftst", "hasfield", "eqvaltst", "undefvtst"):
-        return st
-    if name == "addfield":
-        s, f = args
-        a = st.sigma[s]
-        if a is not None and f not in st.zeta[a]:
-            return _set_field(st, a, f, None)
-        return st
-    if name == "rmvfield":
-        s, f = args
-        a = st.sigma[s]
-        if a is not None and f in st.zeta[a]:
-            return _drop_field(st, a, f)
-        return st
-    if name == "setfield":
-        s, f, t = args
-        a = st.sigma[s]
-        if a is not None and f in st.zeta[a]:
-            return _set_field(st, a, f, st.sigma[t])
-        return st
-    if name == "clrfield":
-        s, f = args
-        a = st.sigma[s]
-        if a is not None and f in st.zeta[a]:
-            return _set_field(st, a, f, None)
-        return st
+        return _set_spot(st, args[0], None), True
+    if name == "equaltst":
+        return st, st.sigma[args[0]] == st.sigma[args[1]]
+    if name == "undeftst":
+        return st, st.sigma[args[0]] is None
+    if name in _FIELD_ACTIONS:
+        a, f = st.sigma[args[0]], args[1]
+        # addfield needs the field absent, the others need it present
+        if a is None or (f in st.zeta[a]) == (name == "addfield"):
+            return st, False
+        if name == "rmvfield":
+            return _drop_field(st, a, f), True
+        if name == "setfield":
+            return _set_field(st, a, f, st.sigma[args[2]]), True
+        if name == "hasfield":
+            return st, True
+        return _set_field(st, a, f, None), True
     if name == "getfield":
         s, t, f = args
         a = st.sigma[t]
-        if a is not None and f in st.zeta[a]:
-            return _set_spot(st, s, st.zeta[a][f])
-        return st
-    md = Meadow(st.universe.modulus)
-    if name in ("asszero", "assone"):
-        a = st.sigma[args[0]]
-        if a is not None:
-            return _set_value(st, a, md.zero() if name == "asszero" else md.one())
-        return st
-    if name in ("assadd", "assmul"):
-        s, t, u = args
-        if _def_spot(st, s) and _def_value(st, t) and _def_value(st, u):
-            n = st.xi[st.sigma[t]]
-            m = st.xi[st.sigma[u]]
-            value = md.add(n, m) if name == "assadd" else md.mul(n, m)
-            return _set_value(st, st.sigma[s], value)
-        return st
-    if name in ("assneg", "assinv"):
-        s, t = args
-        if _def_spot(st, s) and _def_value(st, t):
-            n = st.xi[st.sigma[t]]
-            value = md.neg(n) if name == "assneg" else md.inv(n)
-            return _set_value(st, st.sigma[s], value)
-        return st
-    raise DldError(f"not a basic action: {name}")
-
-
-def yield_set(act: Act, st: SetState) -> bool:
-    name, args = act.name, act.args
-    if name == "getatobj":
-        return len(st.zeta) < len(st.universe.atoms)
-    if name in ("setspot", "clrspot"):
-        return True
-    if name == "equaltst":
-        return st.sigma[args[0]] == st.sigma[args[1]]
-    if name == "undeftst":
-        return st.sigma[args[0]] is None
-    if name == "addfield":
-        a = st.sigma[args[0]]
-        return a is not None and args[1] not in st.zeta[a]
-    if name in ("rmvfield", "hasfield", "setfield", "clrfield"):
-        a = st.sigma[args[0]]
-        return a is not None and args[1] in st.zeta[a]
-    if name == "getfield":
-        a = st.sigma[args[1]]
-        return a is not None and args[2] in st.zeta[a]
-    if name in ("asszero", "assone"):
-        return _def_spot(st, args[0])
-    if name in ("assadd", "assmul"):
-        return (_def_spot(st, args[0]) and _def_value(st, args[1])
-                and _def_value(st, args[2]))
-    if name in ("assneg", "assinv"):
-        return _def_spot(st, args[0]) and _def_value(st, args[1])
+        if a is None or f not in st.zeta[a]:
+            return st, False
+        return _set_spot(st, s, st.zeta[a][f]), True
     if name == "eqvaltst":
         # amended with the definedness conjunct: the table condition is
         # literally true when both values are absent, but the rewrite
         # semantics replies False there
         s, t = args
         if not (_def_spot(st, s) and _def_spot(st, t)):
-            return False
+            return st, False
         vs = st.xi[st.sigma[s]]
-        return vs is not None and vs == st.xi[st.sigma[t]]
+        return st, vs is not None and vs == st.xi[st.sigma[t]]
     if name == "undefvtst":
-        return _def_spot(st, args[0]) and not _def_value(st, args[0])
+        return st, _def_spot(st, args[0]) and not _def_value(st, args[0])
+    if name in _ARITHMETIC:
+        s, *operands = args
+        if not (_def_spot(st, s) and all(_def_value(st, t) for t in operands)):
+            return st, False
+        value = _ARITHMETIC[name](Meadow(st.universe.modulus),
+                                  *(st.xi[st.sigma[t]] for t in operands))
+        return _set_value(st, st.sigma[s], value), True
     raise DldError(f"not a basic action: {name}")
+
+
+def effect_set(act: Act, st: SetState) -> SetState:
+    return perform_set(act, st)[0]
+
+
+def yield_set(act: Act, st: SetState) -> bool:
+    return perform_set(act, st)[1]
 
 
 # --- reachability and reclamation -------------------------------------------
@@ -304,39 +269,36 @@ def _rgc_kept(st: SetState) -> frozenset:
     return frozenset(out)
 
 
-def effect_set_reclaim(act: Act, st: SetState) -> SetState:
-    """Reclamation on map triples.  rgc keeps what spots reach and what
-    field cycles reach, closed under field successors, matching the
-    rewrite collector."""
+def perform_set_reclaim(act: Act, st: SetState) -> tuple:
+    """(next state, reply) of any action on map triples.  rgc keeps what
+    spots reach and what field cycles reach, closed under field
+    successors, matching the rewrite collector.  A disposal variant
+    replies as its basic action and then disposes of the atom that
+    action displaced: the old content of the first spot or, for
+    setfield/clrfield, of its field."""
     name, args = act.name, act.args
     if name == "fgc":
-        return _restrict(st, reach_atoms(st))
+        return _restrict(st, reach_atoms(st)), True
     if name == "rgc":
-        return _restrict(st, _rgc_kept(st))
+        return _restrict(st, _rgc_kept(st)), True
     if act.is_basic:
-        return effect_set(act, st)
+        return perform_set(act, st)
     under = act.underlying
+    after, reply = perform_set(under, st)
+    d = st.sigma[args[0]]
     if under.name in ("setfield", "clrfield"):
-        d = _old_field_content(st, args[0], args[1])
-    else:
-        d = st.sigma[args[0]]
+        # a True reply means the field was there; a False one changed nothing
+        d = st.zeta[d][args[1]] if reply else None
     dispose = ud_set if name.startswith("ud") else sd_set
-    return dispose(d, effect_set(under, st))
+    return dispose(d, after), reply
+
+
+def effect_set_reclaim(act: Act, st: SetState) -> SetState:
+    return perform_set_reclaim(act, st)[0]
 
 
 def yield_set_reclaim(act: Act, st: SetState) -> bool:
-    if act.name in ("fgc", "rgc"):
-        return True
-    if act.is_basic:
-        return yield_set(act, st)
-    return yield_set(act.underlying, st)
-
-
-def _old_field_content(st: SetState, s: str, f: str):
-    a = st.sigma[s]
-    if a is None or f not in st.zeta[a]:
-        return None
-    return st.zeta[a][f]
+    return perform_set_reclaim(act, st)[1]
 
 
 # --- tightness ---------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_criterion_04_disposal_example(example_universe, capsys):
 
 def test_criterion_05_normalization(capsys):
     t0 = time.time()
-    summary = suite_thm1(terms=1000, oracle_samples=100, depth=6, seed=0)
+    summary = suite_thm1(cases=1000, seed=0)
     ok = summary.failed == 0 and summary.checked == 1000
     with capsys.disabled():
         report(5, "normalization vs axiom-chaining oracle", t0, 10.0, ok,
@@ -134,7 +134,7 @@ def test_criterion_05_normalization(capsys):
 
 def test_criterion_06_unique_outcomes_under_shuffle(capsys):
     t0 = time.time()
-    summary = suite_thm2(TINY, shuffles=5, seed=0)
+    summary = suite_thm2(TINY, seed=0)
     ok = summary.failed == 0
     with capsys.disabled():
         report(6, "one effect and one yield per action and state", t0, 60.0,
@@ -236,7 +236,7 @@ def test_criterion_10_gc_cross_model(capsys):
 
 def test_criterion_11_tsu_axioms(capsys):
     t0 = time.time()
-    summary = suite_tsu(cases=500, depth=32, seed=0)
+    summary = suite_tsu(cases=500, seed=0)
     ok = summary.failed == 0 and summary.checked >= 3000
     with capsys.disabled():
         report(11, "service-use axioms and blocked absorption", t0, 10.0, ok,

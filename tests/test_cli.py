@@ -244,3 +244,68 @@ def test_long_combine_chains_fold_in_linear_time(capsys, tmp_path):
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().out == \
         ", ".join(f"s:#{i}" for i in range(10_000)) + "\n"
+
+
+def _universe_of(u):
+    return len(u.spots), len(u.fields), len(u.atoms), u.modulus
+
+
+@pytest.mark.parametrize("argv,bounds", [
+    (["axioms", "--atoms", "4"], (3, 2, 4, 3)),
+    (["thm1", "--atoms", "3"], (2, 2, 3, 3)),
+    (["thm1", "--spots", "1", "--modulus", "5"], (1, 2, 3, 5)),
+    (["thm2", "--fields", "2"], (2, 2, 2, 2)),
+    (["thm3", "--spots", "1"], (1, 1, 2, 2)),
+    (["gc-cross", "--modulus", "3"], (2, 1, 2, 3)),
+])
+def test_check_fills_missing_bounds_from_the_suites_own_universe(
+        monkeypatch, capsys, argv, bounds):
+    from dld.checks import SUITES, Summary
+    seen = []
+
+    def spy(u=None, **kwargs):
+        seen.append(_universe_of(u))
+        return Summary(argv[0])
+
+    monkeypatch.setitem(SUITES, argv[0], spy)
+    assert main(["check", *argv]) == 0
+    assert seen == [bounds]
+
+
+def test_suites_default_to_their_declared_universe(monkeypatch):
+    from dld import checks
+    from dld.universe import small_universe
+    seen = []
+
+    def default_universe(suite):
+        seen.append(suite)
+        return small_universe(1, 1, 1, 2)
+
+    monkeypatch.setattr(checks, "default_universe", default_universe)
+    checks.suite_axioms(cases=1)
+    checks.suite_thm1(cases=1)
+    checks.suite_thm2()
+    checks.suite_thm3()
+    checks.suite_gc_cross()
+    assert seen == ["axioms", "thm1", "thm2", "thm3", "gc-cross"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["thm2", "--cases", "3"], "--cases"),
+    (["thm3", "--cases", "3"], "--cases"),
+    (["gc-cross", "--cases", "3"], "--cases"),
+    (["thm3", "--seed", "1"], "--seed"),
+    (["tsu", "--spots", "2"], "--spots"),
+    (["tsu", "--fields", "1"], "--fields"),
+    (["tsu", "--atoms", "2"], "--atoms"),
+    (["tsu", "--modulus", "3"], "--modulus"),
+    (["axioms", "--include-nontight"], "--include-nontight"),
+    (["thm1", "--include-nontight"], "--include-nontight"),
+    (["thm2", "--include-nontight"], "--include-nontight"),
+    (["gc-cross", "--include-nontight"], "--include-nontight"),
+    (["tsu", "--include-nontight"], "--include-nontight"),
+])
+def test_check_rejects_flags_the_suite_does_not_take(capsys, argv, flag):
+    err = _user_error(capsys, ["check", *argv])
+    assert f"{argv[0]} does not take {flag}" in err
+    assert capsys.readouterr().out == ""
