@@ -461,18 +461,17 @@ SUITES = {
     "tsu": suite_tsu,
 }
 
-# what `dld check` may pass each suite: the bounds of the universe it
-# checks unless told otherwise (spots, fields, atoms, modulus; None for a
-# suite without one) and the keywords of the other options it takes
-SUITE_OPTIONS = {
-    "axioms": ((3, 2, 3, 3), ("cases", "seed")),
-    "thm1": ((2, 2, 3, 3), ("cases", "seed")),
-    "thm2": ((2, 1, 2, 2), ("seed",)),
-    "thm3": ((2, 1, 2, 2), ("include_nontight",)),
-    "gc-cross": ((2, 1, 2, 2), ("seed",)),
-    "tsu": (None, ("cases", "seed")),
+# the bounds (spots, fields, atoms, modulus) of the universe each suite
+# checks unless told otherwise; `dld check` passes a suite only the
+# keywords its signature names
+DEFAULT_BOUNDS = {
+    "axioms": (3, 2, 3, 3),
+    "thm1": (2, 2, 3, 3),
+    "thm2": (2, 1, 2, 2),
+    "thm3": (2, 1, 2, 2),
+    "gc-cross": (2, 1, 2, 2),
 }
 
 
 def default_universe(suite: str) -> Universe:
-    return small_universe(*SUITE_OPTIONS[suite][0])
+    return small_universe(*DEFAULT_BOUNDS[suite])

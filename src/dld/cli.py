@@ -18,9 +18,11 @@ check exits 1 when any case fails.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
-from .checks import SUITE_OPTIONS, SUITES
+from . import checks
+from .checks import DEFAULT_BOUNDS, SUITES
 from .errors import DldError
 from .linkage import normalize
 from .parsing import parse_action_list, parse_linkage, parse_term
@@ -169,19 +171,26 @@ _BOUNDS = ("spots", "fields", "atoms", "modulus")
 def cmd_check(args) -> int:
     if args.cases is not None and args.cases < 0:
         raise DldError(f"--cases must not be negative, got {args.cases}")
-    bounds, takes = SUITE_OPTIONS[args.suite]
+    # the keywords of the suite's own function: a traced benchmark run
+    # swaps the SUITES entries for wrappers taking (*args, **kwargs)
+    suite = getattr(checks, "suite_" + args.suite.replace("-", "_"))
+    takes = set(inspect.signature(suite).parameters)
+    if "u" in takes:
+        takes.update(_BOUNDS)
     given = {"cases": args.cases, "seed": args.seed,
              "include_nontight": args.include_nontight or None}
     given.update((name, getattr(args, name)) for name in _BOUNDS)
     given = {key: value for key, value in given.items() if value is not None}
     for key in given:
-        if key not in takes + (_BOUNDS if bounds else ()):
+        if key not in takes:
             flag = "--" + key.replace("_", "-")
             raise DldError(f"{args.suite} does not take {flag}")
-    kwargs = {key: given[key] for key in takes if key in given}
+    kwargs = {key: value for key, value in given.items()
+              if key not in _BOUNDS}
     if given.keys() & set(_BOUNDS):
         spots, fields, atoms, modulus = (
-            given.get(name, bound) for name, bound in zip(_BOUNDS, bounds))
+            given.get(name, bound)
+            for name, bound in zip(_BOUNDS, DEFAULT_BOUNDS[args.suite]))
         kwargs["u"] = small_universe(_integer(spots, "--spots", 1),
                                      _integer(fields, "--fields", 1),
                                      _integer(atoms, "--atoms", 1), modulus)
