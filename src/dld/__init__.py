@@ -19,16 +19,13 @@ from .reclaim import (clear_refs, effect_dldr, fgc, perform_dldr, rgc,
                       safe_dispose, yield_dldr)
 from .refine import (CommutationVerdict, check_commutation, enumerate_states,
                      represent, retrieve)
-from .semantics import (NONDET, RuleFire, StepOutcome, effect, field_content,
-                        fields_of, perform, spot_content, step, value_of,
-                        yield_)
-from .set_model import (SetState, effect_set, effect_set_reclaim, incycle,
-                        is_tight, perform_set, perform_set_reclaim,
-                        reach_atoms, reach_from, sd_set, tighten, ud_set,
-                        yield_set, yield_set_reclaim)
+from .semantics import RuleFire, effect, evaluate, perform, yield_
+from .set_model import (SetState, effect_set_reclaim, incycle, is_tight,
+                        perform_set, perform_set_reclaim, reach_atoms,
+                        reach_from, sd_set, tighten, ud_set, yield_set_reclaim)
 from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
-                      DldService, Post, Ref, Run, Service, ThreadSpec, dlds,
-                      run, step_thread, use)
+                      DldService, Post, Ref, Run, Service, ThreadSpec, run,
+                      step_thread, use)
 from .universe import Universe, small_universe
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .linkage import (DataLinkage, TCombine, TEmpty, TLit, TOverride, flink,
                       normalize, pflink, slink, valass)
 from .oracles import fgc_one_at_a_time, normalize_by_axioms, rgc_one_at_a_time
 from .reclaim import fgc, perform_dldr, rgc
-from .refine import check_commutation, enumerate_states, retrieve
+from .refine import check_commutation, enumerate_states
 from .semantics import Scan, perform
 from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, Post, Ref, Service,
                       ThreadSpec, use)

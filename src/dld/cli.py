@@ -28,7 +28,7 @@ from .linkage import normalize
 from .parsing import parse_action_list, parse_linkage, parse_term
 from .reclaim import perform_dldr
 from .scripts import parse_spec
-from .threads import dlds, run
+from .threads import DldService, run
 from .universe import _FIELD_POOL, _SPOT_POOL, Universe, small_universe
 
 
@@ -114,7 +114,7 @@ def _add_universe_flags(sub):
     sub.add_argument("--spots", help="spot names or a count")
     sub.add_argument("--fields", help="field names or a count")
     sub.add_argument("--atoms", help="atom names or a count")
-    sub.add_argument("--modulus", type=int, help="prime value modulus")
+    sub.add_argument("--modulus", help="prime value modulus")
 
 
 def cmd_normalize(args) -> int:
@@ -151,7 +151,7 @@ def cmd_run(args) -> int:
                        f"choose one of {', '.join(_OUTPUTS)}")
     spec = parse_spec(_read_text(args.spec), u)
     initial = parse_linkage(_read_text(args.init).strip(), u)
-    execution = run(spec, {"dld": dlds(initial, variant)}, budget)
+    execution = run(spec, {"dld": DldService(initial, variant)}, budget)
     if output == "final":
         for _ in execution:
             pass
@@ -169,8 +169,6 @@ _BOUNDS = ("spots", "fields", "atoms", "modulus")
 
 
 def cmd_check(args) -> int:
-    if args.cases is not None and args.cases < 0:
-        raise DldError(f"--cases must not be negative, got {args.cases}")
     # the keywords of the suite's own function: a traced benchmark run
     # swaps the SUITES entries for wrappers taking (*args, **kwargs)
     suite = getattr(checks, "suite_" + args.suite.replace("-", "_"))
@@ -187,13 +185,18 @@ def cmd_check(args) -> int:
             raise DldError(f"{args.suite} does not take {flag}")
     kwargs = {key: value for key, value in given.items()
               if key not in _BOUNDS}
+    if "cases" in kwargs:
+        kwargs["cases"] = _integer(kwargs["cases"], "--cases", 0)
+    if "seed" in kwargs:
+        kwargs["seed"] = _integer(kwargs["seed"], "--seed")
     if given.keys() & set(_BOUNDS):
         spots, fields, atoms, modulus = (
             given.get(name, bound)
             for name, bound in zip(_BOUNDS, DEFAULT_BOUNDS[args.suite]))
         kwargs["u"] = small_universe(_integer(spots, "--spots", 1),
                                      _integer(fields, "--fields", 1),
-                                     _integer(atoms, "--atoms", 1), modulus)
+                                     _integer(atoms, "--atoms", 1),
+                                     _integer(modulus, "--modulus"))
     summary = SUITES[args.suite](**kwargs)
     for detail in summary.failures:
         print(f"FAIL {detail}")
@@ -222,9 +225,10 @@ def main(argv=None) -> int:
     _add_universe_flags(p)
     p.add_argument("--spec", required=True, help="thread script file")
     p.add_argument("--init", required=True, help="file with the initial state")
-    p.add_argument("--service", choices=("plain", "dldr", "afgc"))
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--output", choices=_OUTPUTS)
+    p.add_argument("--service",
+                   help="one of " + ", ".join(DldService.VARIANTS))
+    p.add_argument("--max-steps")
+    p.add_argument("--output", help="one of " + ", ".join(_OUTPUTS))
     p.set_defaults(func=cmd_run)
 
     p = subs.add_parser("check", help="run a verification suite")
@@ -232,9 +236,9 @@ def main(argv=None) -> int:
     p.add_argument("--spots")
     p.add_argument("--fields")
     p.add_argument("--atoms")
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--modulus")
+    p.add_argument("--cases")
+    p.add_argument("--seed")
     p.add_argument("--include-nontight", action="store_true",
                    help="also check states with invisible in-use atoms")
     p.set_defaults(func=cmd_check)

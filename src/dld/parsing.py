@@ -122,7 +122,7 @@ def _parse_item(cur: _Cursor, universe: Universe):
 
 
 def _parse_linkage_items(cur: _Cursor, universe: Universe):
-    if cur.peek()[1] == "0" or (cur.peek()[0] == "nat" and cur.peek()[1] == "0"):
+    if cur.peek()[1] == "0":
         cur.next()
         return []
     items = [_parse_item(cur, universe)]

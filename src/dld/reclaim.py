@@ -6,7 +6,8 @@ and cascades from the atoms that lose their last one.  The paper's rules
 move one link at a time; `oracles` keeps those literal readings, and the
 tests and the gc-cross suite check the collectors against them.
 
-`perform_dldr` gives (next state, reply) of every action in one call.
+`perform_dldr` gives (next state, reply) of every action in one call;
+`effect_dldr` and `yield_dldr` project it.
 A safe (sd) or unsafe (ud) disposal variant evaluates its basic action's
 guard once and replies as it.  When that fires a priority-1 row the state
 stays unchanged, which shields disposal from non-deterministic operands;
@@ -131,7 +132,4 @@ def effect_dldr(act: Act, l: DataLinkage) -> DataLinkage:
 
 
 def yield_dldr(act: Act, l: DataLinkage) -> bool:
-    """The reply alone; a disposal variant replies as its basic action."""
-    if act.name in ("fgc", "rgc"):
-        return True
-    return guard(act if act.is_basic else act.underlying, l)[0]
+    return perform_dldr(act, l)[1]

@@ -10,8 +10,7 @@ from itertools import combinations, product
 
 from .actions import Act
 from .errors import NonDeterministicState
-from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, pflink,
-                      slink, valass)
+from .linkage import FLD, PFLD, SPOT, DataLinkage, flink, pflink, slink, valass
 from .reclaim import perform_dldr
 from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
 from .set_model import SetState, is_tight, perform_set_reclaim

@@ -13,8 +13,8 @@ distinct positions may bind the same link (equaltst(s,s) on a defined
 spot matches its single spot link twice).
 
 `perform` gives (next state, reply) from one scan and one guard call;
-`effect` and `yield_` project it, and `evaluate` and `step` also report
-the fired rows as RuleFires for observability.  A `Heap` is a Scan that
+`effect` and `yield_` project it, and `evaluate` also reports the fired
+rows as RuleFires for observability.  A `Heap` is a Scan that
 run mode updates in place, one guard call and one (drop, add) per step.
 """
 
@@ -23,19 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import Act
-from .linkage import (FLD, PFLD, SPOT, VAL, DataLinkage, flink, link_atoms,
-                      pflink, render_link, slink, sort_key, valass)
+from .linkage import (FLD, PFLD, SPOT, DataLinkage, flink, link_atoms, pflink,
+                      render_link, slink, sort_key, valass)
 from .meadow import Meadow
-
-
-class _Nondet:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "nondeterministic"
-
-
-NONDET = _Nondet()
 
 
 class Scan:
@@ -74,13 +64,6 @@ class RuleFire:
     row: str
     priority: int
     bindings: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    state: DataLinkage
-    reply: bool
-    fired: tuple
 
 
 def _apply(l: DataLinkage, drop, add) -> DataLinkage:
@@ -423,25 +406,20 @@ def perform(act: Act, l: DataLinkage, scan: Scan | None = None):
     return _apply(l, drop, add), reply
 
 
-def effect(act: Act, l: DataLinkage, scan: Scan | None = None) -> DataLinkage:
-    return perform(act, l, scan)[0]
+def effect(act: Act, l: DataLinkage) -> DataLinkage:
+    return perform(act, l)[0]
 
 
-def yield_(act: Act, l: DataLinkage, scan: Scan | None = None) -> bool:
-    return guard(act, l, scan)[0]
+def yield_(act: Act, l: DataLinkage) -> bool:
+    return guard(act, l)[0]
 
 
-def evaluate(act: Act, l: DataLinkage, scan: Scan | None = None):
+def evaluate(act: Act, l: DataLinkage):
     """(next state, reply, effect RuleFire, yield RuleFire) in one pass."""
-    reply, erow, yrow, bindings, drop, add = guard(act, l, scan)
+    reply, erow, yrow, bindings, drop, add = guard(act, l)
     return (_apply(l, drop, add), reply,
             RuleFire(act, f"eff.{act.name}.{erow}", int(erow[1]), bindings),
             RuleFire(act, f"yld.{act.name}.{yrow}", int(yrow[1]), {**bindings}))
-
-
-def step(act: Act, l: DataLinkage) -> StepOutcome:
-    state, reply, efire, yfire = evaluate(act, l)
-    return StepOutcome(state, reply, (efire, yfire))
 
 
 # --- a state updated in place --------------------------------------------------
@@ -534,31 +512,3 @@ def _update(index: dict, key, item, delta):
     items.remove(item)
     if not items:
         del index[key]
-
-
-# --- locally deterministic accessors -----------------------------------------
-
-def _unique(found):
-    """None when nothing was found, NONDET when several differ."""
-    if not found:
-        return None
-    return found[0] if len(set(found)) == 1 else NONDET
-
-
-def spot_content(l: DataLinkage, s: str):
-    """Unique target of spot s, None when undefined, NONDET when several."""
-    return _unique([x[2] for x in l.iter_links() if x[0] == SPOT and x[1] == s])
-
-
-def fields_of(l: DataLinkage, a: str) -> frozenset:
-    return frozenset(x[2] for x in l.iter_links()
-                     if x[0] in (PFLD, FLD) and x[1] == a)
-
-
-def field_content(l: DataLinkage, a: str, f: str):
-    targets, has_pf = _field_state(Scan(l), a, f)
-    return NONDET if targets and has_pf else _unique(targets)
-
-
-def value_of(l: DataLinkage, a: str):
-    return _unique([x[2] for x in l.iter_links() if x[0] == VAL and x[1] == a])

@@ -186,14 +186,6 @@ def perform_set(act: Act, st: SetState) -> tuple:
     raise DldError(f"not a basic action: {name}")
 
 
-def effect_set(act: Act, st: SetState) -> SetState:
-    return perform_set(act, st)[0]
-
-
-def yield_set(act: Act, st: SetState) -> bool:
-    return perform_set(act, st)[1]
-
-
 # --- reachability and reclamation -------------------------------------------
 
 def reach_from(a: str, zeta: dict) -> frozenset:

@@ -104,17 +104,12 @@ def _unfold(t: Thread, spec: Optional[ThreadSpec]) -> Thread:
 # --- services ----------------------------------------------------------------
 
 class Service:
-    """State machine interface: process(m) gives (reply, successor) with
-    the reply in {True, False, BLOCKED}; reply and derive project it."""
+    """State machine interface: process(m) gives (reply, successor), the
+    paper's reply to m, in {True, False, BLOCKED}, and the service
+    derived by m."""
 
     def process(self, method) -> tuple:
         raise NotImplementedError
-
-    def reply(self, method):
-        return self.process(method)[0]
-
-    def derive(self, method) -> "Service":
-        return self.process(method)[1]
 
     def render(self) -> str:
         return repr(self)
@@ -212,11 +207,6 @@ class DldMachine:
 
     def render(self) -> str:
         return "undef" if self.heap is None else self.heap.render()
-
-
-def dlds(initial: DataLinkage, variant: str = "plain") -> DldService:
-    """The linkage service in state `initial`, which must be deterministic."""
-    return DldService(initial, variant)
 
 
 # --- the use mechanism --------------------------------------------------------

@@ -18,8 +18,8 @@ from dld.cli import main
 from dld.linkage import valass
 from dld.parsing import parse_linkage
 from dld.reclaim import effect_dldr
-from dld.refine import check_commutation, enumerate_states
-from dld.semantics import effect, spot_content, value_of
+from dld.refine import check_commutation, enumerate_states, represent
+from dld.semantics import effect
 from dld.set_model import SetState
 from dld.universe import Universe, small_universe
 
@@ -190,8 +190,8 @@ def test_criterion_09_copy_and_subtraction_identities(capsys):
     md = Meadow(TINY.modulus)
     copy_checked = sub_checked = failures = 0
     for l in enumerate_deterministic(TINY):
-        contents = {s: spot_content(l, s) for s in TINY.spots}
-        values = {a: value_of(l, a) for a in TINY.atoms}
+        st = represent(l)
+        contents, values = st.sigma, st.xi
         for s in TINY.spots:
             a = contents[s]
             if a is None:

@@ -35,6 +35,9 @@ def test_normalize(capsys, config):
 def test_normalize_requires_universe(capsys):
     assert main(["normalize", "0"]) == 1
     assert "universe not fully declared" in capsys.readouterr().err
+    assert "modulus" in _user_error(capsys, [
+        "normalize", "--spots", "1", "--fields", "1", "--atoms", "1",
+        "--modulus", "x", "0"])
 
 
 @pytest.mark.parametrize("atoms", ["atoms=#0,#1", "atoms = #0, #1"])
@@ -213,6 +216,13 @@ def test_roundtrip_all_small_linkages():
     ("modulus=11\nmax_steps=-1", [], "max_steps"),
     ("modulus=11\noutput=bogus", [], "output"),
     ("modulus=11", ["--max-steps", "-3"], "--max-steps"),
+    # a bad flag value is an error like the same config value: exit 1,
+    # not argparse's 2, which run uses for deadlock
+    ("modulus=11", ["--max-steps", "abc"], "--max-steps"),
+    ("modulus=11", ["--modulus", "abc"], "modulus"),
+    ("modulus=11\nservice=bogus", [], "service"),
+    ("modulus=11", ["--service", "bogus"], "service"),
+    ("modulus=11", ["--output", "bogus"], "output"),
 ])
 def test_bad_run_settings_are_user_errors(capsys, tmp_path, settings, flags,
                                           named):
@@ -232,6 +242,10 @@ def test_bad_check_bounds_are_user_errors(capsys):
     assert "--spots" in _user_error(capsys, ["check", "thm2", "--spots", "abc"])
     assert "--atoms" in _user_error(capsys, ["check", "thm2", "--atoms", "-1"])
     assert "prime" in _user_error(capsys, ["check", "thm2", "--modulus", "0"])
+    assert "--modulus" in _user_error(capsys,
+                                      ["check", "thm2", "--modulus", "abc"])
+    assert "--cases" in _user_error(capsys, ["check", "tsu", "--cases", "abc"])
+    assert "--seed" in _user_error(capsys, ["check", "tsu", "--seed", "abc"])
 
 
 def test_long_combine_chains_fold_in_linear_time(capsys, tmp_path):

@@ -8,8 +8,9 @@ from dld.checks import enumerate_deterministic, enumerate_linkages
 from dld.linkage import DataLinkage, flink, slink, valass
 from dld.oracles import (fgc_one_at_a_time, rgc_one_at_a_time,
                          safe_dispose_staged)
-from dld.reclaim import clear_refs, effect_dldr, fgc, rgc, safe_dispose, yield_dldr
-from dld.semantics import NONDET, evaluate, field_content, spot_content
+from dld.reclaim import (clear_refs, effect_dldr, fgc, perform_dldr, rgc,
+                         safe_dispose)
+from dld.semantics import Scan, evaluate
 from dld.universe import Universe, small_universe
 
 
@@ -21,7 +22,7 @@ def test_fgc_examples(L):
     assert fgc(L("r:#0, #0.up:#1, #2.up:#3, #3.dn:#2")) == L("r:#0, #0.up:#1")
     assert fgc(L("0")) == L("0")
     assert fgc(L("#0.f:#1")) == L("0")
-    assert yield_dldr(A("fgc"), L("#0.f:#1")) is True
+    assert perform_dldr(A("fgc"), L("#0.f:#1"))[1] is True
 
 
 def test_rgc_examples(L):
@@ -29,7 +30,7 @@ def test_rgc_examples(L):
     assert rgc(cycle) == cycle
     assert rgc(L("#0.f:#1")) == L("0")
     assert rgc(L("0")) == L("0")
-    assert yield_dldr(A("rgc"), L("0")) is True
+    assert perform_dldr(A("rgc"), L("0"))[1] is True
 
 
 def test_safe_dispose_examples(L):
@@ -48,12 +49,12 @@ def test_clear_refs_examples(L):
 
 def test_disposal_worked_example(L):
     state = L("r:#0, s:#0, #0.up:#1, t:#2, #2.up:#3")
-    sd = effect_dldr(A("sdsetspot", "s", "t"), state)
+    sd, reply = perform_dldr(A("sdsetspot", "s", "t"), state)
     assert sd == L("r:#0, s:#2, #0.up:#1, t:#2, #2.up:#3")
-    ud = effect_dldr(A("udsetspot", "s", "t"), state)
+    assert reply is True
+    ud, reply = perform_dldr(A("udsetspot", "s", "t"), state)
     assert ud == L("s:#2, t:#2, #2.up:#3")
-    assert yield_dldr(A("sdsetspot", "s", "t"), state) is True
-    assert yield_dldr(A("udsetspot", "s", "t"), state) is True
+    assert reply is True
 
 
 def test_sd_variants_dispose_displaced_spot_content(L):
@@ -104,20 +105,27 @@ def test_ud_composition_law(tiny_universe):
                 continue
             under = act.underlying
             expected, reply, efire, _ = evaluate(under, l)
-            assert yield_dldr(act, l) is reply
+            state, got = perform_dldr(act, l)
+            assert got is reply
             if efire.priority == 1:
                 shielded += 1
-                assert effect_dldr(act, l) == l
+                assert state == l
                 continue
-            d = spot_content(l, act.args[0])
-            if d is not None and under.name in ("setfield", "clrfield"):
-                d = field_content(l, d, act.args[1])
-            assert d is not NONDET
-            if d is not None:
+            # the displaced atom, unique once no shield fired
+            scan = Scan(l)
+            displaced = scan.spot.get(act.args[0], [])
+            assert len(displaced) <= 1
+            if displaced and under.name in ("setfield", "clrfield"):
+                position = (displaced[0], act.args[1])
+                displaced = scan.fl.get(position, [])
+                assert len(displaced) <= 1
+                assert not (displaced and position in scan.pf)
+            if displaced:
+                d = displaced[0]
                 if act.name.startswith("ud"):
                     expected = clear_refs(d, expected)
                 expected = safe_dispose(d, expected)
-            assert effect_dldr(act, l) == expected
+            assert state == expected
     assert shielded > 0
 
 

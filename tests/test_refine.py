@@ -42,6 +42,16 @@ def test_represent_roundtrip_and_tight(tiny_universe):
         st.check_invariants()
 
 
+def test_tight_states_are_the_deterministic_linkages(tiny_universe):
+    # the verify benchmark counts its thm3 cases as deterministic states
+    # times action instances, which holds because of this
+    tight = [retrieve(st)
+             for st in enumerate_states(tiny_universe, tight_only=True)]
+    deterministic = set(enumerate_deterministic(tiny_universe))
+    assert len(tight) == len(set(tight)) == len(deterministic) == 1296
+    assert set(tight) == deterministic
+
+
 def test_retrieve_is_deterministic_on_all_states(tiny_universe):
     for st in enumerate_states(tiny_universe):
         assert retrieve(st).is_deterministic()

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from dld import Act, DataLinkage, NONDET
+from dld import Act, DataLinkage
 from dld.actions import all_basic_actions
 from dld.checks import enumerate_linkages
-from dld.semantics import (effect, evaluate, field_content, fields_of,
-                           spot_content, step, value_of, yield_)
+from dld.semantics import effect, evaluate, perform, yield_
 from dld.universe import small_universe
 
 
@@ -62,24 +61,24 @@ def test_setfield_undefined_source_unsets(L):
 
 
 def test_addfield_and_rmvfield(L):
-    out = step(A("addfield", "s", "f"), L("0"))
-    assert out.state == L("0") and out.reply is False
-    out = step(A("addfield", "s", "f"), L("s:#0"))
-    assert out.state == L("s:#0, #0.f:?") and out.reply is True
-    out = step(A("addfield", "s", "f"), L("s:#0, #0.f:#1"))
-    assert out.state == L("s:#0, #0.f:#1") and out.reply is False
-    out = step(A("rmvfield", "s", "f"), L("s:#0, #0.f:#1"))
-    assert out.state == L("s:#0") and out.reply is True
-    out = step(A("rmvfield", "s", "f"), L("s:#0, #0.f:?"))
-    assert out.state == L("s:#0") and out.reply is True
+    state, reply = perform(A("addfield", "s", "f"), L("0"))
+    assert state == L("0") and reply is False
+    state, reply = perform(A("addfield", "s", "f"), L("s:#0"))
+    assert state == L("s:#0, #0.f:?") and reply is True
+    state, reply = perform(A("addfield", "s", "f"), L("s:#0, #0.f:#1"))
+    assert state == L("s:#0, #0.f:#1") and reply is False
+    state, reply = perform(A("rmvfield", "s", "f"), L("s:#0, #0.f:#1"))
+    assert state == L("s:#0") and reply is True
+    state, reply = perform(A("rmvfield", "s", "f"), L("s:#0, #0.f:?"))
+    assert state == L("s:#0") and reply is True
 
 
 def test_value_actions(demo_universe, L):
     state = L("s:#0, t:#1, #1=7, u:#2, #2=8")
     got = effect(A("assadd", "s", "t", "u"), state)
     assert got == L("s:#0, #0=4, t:#1, #1=7, u:#2, #2=8")
-    out = step(A("asszero", "s"), L("s:#0"))
-    assert out.state == L("s:#0, #0=0") and out.reply is True
+    state, reply = perform(A("asszero", "s"), L("s:#0"))
+    assert state == L("s:#0, #0=0") and reply is True
     assert effect(A("assinv", "s", "t"), L("s:#0, t:#1, #1=0")) == \
         L("s:#0, #0=0, t:#1, #1=0")
 
@@ -122,27 +121,14 @@ def test_value_shields_are_named_by_operand_position(L):
 
 
 def test_step_records_fired_rows(L):
-    out = step(A("clrspot", "t"), L("r:#0, t:#1, #0.up:#1, #1.dn:#0"))
-    assert out.state == L("r:#0, #0.up:#1, #1.dn:#0")
-    assert out.reply is True
-    assert len(out.fired) == 2
-    eff, yld = out.fired
+    state, reply, eff, yld = evaluate(
+        A("clrspot", "t"), L("r:#0, t:#1, #0.up:#1, #1.dn:#0"))
+    assert state == L("r:#0, #0.up:#1, #1.dn:#0")
+    assert reply is True
     assert eff.row == "eff.clrspot.p2.clear" and eff.priority == 2
     assert yld.row == "yld.clrspot.p2.true"
     assert eff.bindings == {"s": "t", "a": "#1"}
     assert yld.bindings == eff.bindings and yld.bindings is not eff.bindings
-
-
-def test_accessors(L):
-    assert spot_content(L("r:#0"), "r") == "#0"
-    assert spot_content(L("0"), "r") is None
-    assert spot_content(L("r:#0, r:#1"), "r") is NONDET
-    assert fields_of(L("#0.f:?, #0.g:#1"), "#0") == {"f", "g"}
-    assert field_content(L("#0.f:?"), "#0", "f") is None
-    assert field_content(L("#0.f:#1"), "#0", "f") == "#1"
-    assert field_content(L("#0.f:#1, #0.f:?"), "#0", "f") is NONDET
-    assert value_of(L("#0=3, #0=4"), "#0") is NONDET
-    assert value_of(L("#0=3"), "#0") == 3
 
 
 def test_nondet_shield_is_identity_and_false(tiny_universe):

@@ -5,9 +5,9 @@ from dld.errors import DldError
 from dld.oracles import cyclic_atoms, reach_inductive
 from dld.refine import enumerate_states, retrieve
 from dld.set_model import (SetState, clear_field_refs, clear_spot_refs,
-                           effect_set, effect_set_reclaim, incycle, is_tight,
+                           effect_set_reclaim, incycle, is_tight, perform_set,
                            reach_atoms, reach_from, sd_set, tighten, ud_set,
-                           yield_set, yield_set_reclaim)
+                           yield_set_reclaim)
 from dld.universe import small_universe
 
 U = small_universe(2, 2, 4, 3)
@@ -26,22 +26,23 @@ def A(name, *args):
 
 def test_effect_set_examples():
     st = S({"s": None, "t": "#1"}, {"#1": {}})
-    out = effect_set(A("setspot", "s", "t"), st)
+    out, _ = perform_set(A("setspot", "s", "t"), st)
     assert out.sigma["s"] == "#1"
 
     st = S({"s": None})
-    assert effect_set(A("addfield", "s", "f"), st) == st
-    assert yield_set(A("addfield", "s", "f"), st) is False
+    out, reply = perform_set(A("addfield", "s", "f"), st)
+    assert out == st
+    assert reply is False
 
     st = S({"s": "#0"}, {"#0": {}})
-    out = effect_set(A("asszero", "s"), st)
+    out, reply = perform_set(A("asszero", "s"), st)
     assert out.xi["#0"] == 0
-    assert yield_set(A("asszero", "s"), st) is True
+    assert reply is True
 
 
 def test_getatobj_set_allocates_outside_dom_zeta():
     st = S({}, {"#0": {}})
-    out = effect_set(A("getatobj", "s"), st)
+    out, _ = perform_set(A("getatobj", "s"), st)
     assert out.sigma["s"] == "#1"
     assert set(out.zeta) == {"#0", "#1"}
     assert out.xi["#1"] is None
@@ -57,9 +58,9 @@ def test_effect_set_preserves_invariants_exhaustively():
 
 def test_eqvaltst_needs_defined_values():
     st = S({"s": "#0", "t": "#1"}, {"#0": {}, "#1": {}})
-    assert yield_set(A("eqvaltst", "s", "t"), st) is False
+    assert perform_set(A("eqvaltst", "s", "t"), st)[1] is False
     st2 = st.replace(xi={"#0": 2, "#1": 2})
-    assert yield_set(A("eqvaltst", "s", "t"), st2) is True
+    assert perform_set(A("eqvaltst", "s", "t"), st2)[1] is True
 
 
 def test_reach():

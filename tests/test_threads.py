@@ -12,8 +12,8 @@ from dld.parsing import parse_linkage
 from dld.scripts import parse_spec
 from dld.semantics import Scan
 from dld.threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
-                         DldService, Post, Ref, Service, ThreadSpec, dlds,
-                         prefix, run, step_thread, use)
+                         DldService, Post, Ref, Service, ThreadSpec, prefix,
+                         run, step_thread, use)
 from dld.universe import small_universe
 
 
@@ -28,7 +28,7 @@ def test_use_terminals_pass_through():
 
 
 def test_use_processes_own_focus(demo_universe, L):
-    h = dlds(DataLinkage.empty(demo_universe))
+    h = DldService(DataLinkage.empty(demo_universe))
     t = Post(Call("dld", A("getatobj", "r")), STOP, DEADLOCK)
     out = use(t, "dld", h)
     # positive reply: a tau prefix of the transformed then branch
@@ -36,13 +36,13 @@ def test_use_processes_own_focus(demo_universe, L):
 
 
 def test_use_blocked_becomes_deadlock(demo_universe):
-    h = dlds(DataLinkage.empty(demo_universe))
+    h = DldService(DataLinkage.empty(demo_universe))
     t = Post(Call("dld", "no-such-method"), STOP, STOP)
     assert use(t, "dld", h) is DEADLOCK
 
 
 def test_use_other_focus_untouched(demo_universe):
-    h = dlds(DataLinkage.empty(demo_universe))
+    h = DldService(DataLinkage.empty(demo_universe))
     t = Post(Call("aux", "m"), STOP, DEADLOCK)
     out = use(t, "dld", h)
     assert out.action == Call("aux", "m")
@@ -57,24 +57,25 @@ def test_use_budget_exhaustion():
 
 
 def test_dld_service_basic(demo_universe, L):
-    svc = dlds(DataLinkage.empty(demo_universe))
+    svc = DldService(DataLinkage.empty(demo_universe))
     act = A("getatobj", "r")
-    assert svc.reply(act) is True
-    svc2 = svc.derive(act)
+    reply, svc2 = svc.process(act)
+    assert reply is True
     assert svc2.render() == "r:#0"
     # unknown methods block forever
-    svc3 = svc2.derive("nonsense")
+    _, svc3 = svc2.process("nonsense")
     assert svc3.render() == "undef"
-    assert svc3.reply(act) == BLOCKED
-    assert svc3.derive(act).reply(A("undeftst", "r")) == BLOCKED
+    reply, svc4 = svc3.process(act)
+    assert reply == BLOCKED
+    assert svc4.process(A("undeftst", "r"))[0] == BLOCKED
 
 
 def test_dld_service_variants(demo_universe, L):
     state = L("r:#0")
-    assert dlds(state, "plain").reply(A("fgc")) == BLOCKED
-    assert dlds(state, "dldr").reply(A("fgc")) is True
+    assert DldService(state, "plain").process(A("fgc"))[0] == BLOCKED
+    assert DldService(state, "dldr").process(A("fgc"))[0] is True
     with pytest.raises(NonDeterministicState):
-        dlds(L("s:#0, s:#1"))
+        DldService(L("s:#0, s:#1"))
 
 
 def test_dld_service_checks_the_state_it_is_built_with(L):
@@ -91,25 +92,23 @@ def test_afgc_collects_before_allocating(tiny_universe):
     # both atoms occur, but #1 is garbage: plain fails, afgc succeeds
     state = parse_linkage("s:#0, #1.f:#1", u)
     act = A("getatobj", "t")
-    assert dlds(state, "dldr").reply(act) is False
-    svc = dlds(state, "afgc")
-    assert svc.reply(act) is True
-    assert svc.derive(act).render() == "s:#0, t:#1"
+    assert DldService(state, "dldr").process(act)[0] is False
+    reply, svc = DldService(state, "afgc").process(act)
+    assert reply is True
+    assert svc.render() == "s:#0, t:#1"
 
 
 def test_afgc_matches_manual_composition(tiny_universe):
-    from dld.reclaim import effect_dldr, fgc
-    from dld.semantics import effect, yield_
+    from dld.reclaim import fgc
+    from dld.semantics import perform
     u = tiny_universe
     rng = random.Random(4)
     from dld.checks import enumerate_linkages
     states = [l for l in enumerate_linkages(u) if l.is_deterministic()]
     for l in rng.sample(states, 100):
-        svc = dlds(l, "afgc")
         act = A("getatobj", "s")
-        collected = fgc(l)
-        assert svc.reply(act) == yield_(act, collected)
-        assert svc.derive(act).state == effect(act, collected)
+        reply, svc = DldService(l, "afgc").process(act)
+        assert (svc.state, reply) == perform(act, fgc(l))
 
 
 def test_afgc_collects_once_per_getatobj(tiny_universe, monkeypatch):
@@ -125,23 +124,23 @@ def test_afgc_collects_once_per_getatobj(tiny_universe, monkeypatch):
     u = tiny_universe
     state = parse_linkage("s:#0, #1.f:#1", u)
     spec = parse_spec("main = getatobj(t) ; clrspot(t) ; getatobj(t) ; S", u)
-    steps = list(run(spec, {"dld": dlds(state, "afgc")}))
+    steps = list(run(spec, {"dld": DldService(state, "afgc")}))
     assert [reply for _, reply in steps] == ["T", "T", "T"]
     assert len(calls) == 2
     calls.clear()
-    assert use(spec.entry(), "dld", dlds(state, "afgc")) is not DEADLOCK
+    assert use(spec.entry(), "dld", DldService(state, "afgc")) is not DEADLOCK
     assert len(calls) == 2
 
 
 def test_run_unknown_focus_raises(demo_universe):
     spec = parse_spec("main = aux.m ; S", demo_universe)
     with pytest.raises(UnknownFocus):
-        list(run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10))
+        list(run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 10))
 
 
 def test_run_tau_loop_budget(demo_universe):
     spec = parse_spec("main = X\nX = tau . X", demo_universe)
-    trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 25)
+    trace = run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 25)
     steps = list(trace)
     assert trace.terminal == "BudgetExhausted"
     assert len(steps) == 25
@@ -150,24 +149,24 @@ def test_run_tau_loop_budget(demo_universe):
 
 def test_run_immediate_deadlock(demo_universe):
     spec = parse_spec("main = D", demo_universe)
-    trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
+    trace = run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 10)
     assert not list(trace) and trace.terminal == "Deadlock"
 
 
 def test_run_branches_on_reply(demo_universe, L):
     script = "main = undeftst(r) ? getatobj(r) ; S : D"
     spec = parse_spec(script, demo_universe)
-    trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
+    trace = run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 10)
     assert [action for action, _ in trace] == ["undeftst(r)", "getatobj(r)"]
     assert trace.terminal == "Stop"
-    trace = run(spec, {"dld": dlds(L("r:#0"))}, 10)
+    trace = run(spec, {"dld": DldService(L("r:#0"))}, 10)
     list(trace)
     assert trace.terminal == "Deadlock"
 
 
 def test_run_keeps_services_untouched_without_actions(demo_universe):
     spec = parse_spec("main = tau . tau . S", demo_universe)
-    svc = dlds(DataLinkage.empty(demo_universe))
+    svc = DldService(DataLinkage.empty(demo_universe))
     trace = run(spec, {"dld": svc}, 10)
     assert all(trace.render() == "0" for _ in trace)
     assert trace.terminal == "Stop"
@@ -175,7 +174,7 @@ def test_run_keeps_services_untouched_without_actions(demo_universe):
 
 def test_run_leaves_the_callers_services_untouched(demo_universe):
     spec = parse_spec("main = getatobj(r) ; getatobj(t) ; S", demo_universe)
-    services = {"dld": dlds(DataLinkage.empty(demo_universe))}
+    services = {"dld": DldService(DataLinkage.empty(demo_universe))}
     trace = run(spec, services, 10)
     assert [trace.render() for _ in trace] == ["r:#0", "r:#0, t:#1"]
     assert services["dld"].render() == "0"
@@ -183,7 +182,7 @@ def test_run_leaves_the_callers_services_untouched(demo_universe):
 
 
 def test_step_thread(demo_universe):
-    services = {"dld": dlds(DataLinkage.empty(demo_universe))}
+    services = {"dld": DldService(DataLinkage.empty(demo_universe))}
     t, step, terminal = step_thread(prefix(TAU, STOP), None, services)
     assert step == ("tau", "T") and terminal is None and t is STOP
     t, step, terminal = step_thread(STOP, None, services)
@@ -203,8 +202,8 @@ def _trace_text(trace) -> str:
 def test_trace_render_is_stable(demo_universe):
     script = "main = getatobj(r) ; getatobj(t) ; S"
     spec = parse_spec(script, demo_universe)
-    out1 = _trace_text(run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10))
-    out2 = _trace_text(run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10))
+    out1 = _trace_text(run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 10))
+    out2 = _trace_text(run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 10))
     assert out1 == out2
     assert out1.splitlines()[0] == "init 0"
     assert out1.splitlines()[-1] == "stop"
@@ -227,7 +226,7 @@ def test_script_parse_errors(demo_universe):
 
 def test_bare_trailing_action_terminates(demo_universe):
     spec = parse_spec("main = getatobj(r)", demo_universe)
-    trace = run(spec, {"dld": dlds(DataLinkage.empty(demo_universe))}, 10)
+    trace = run(spec, {"dld": DldService(DataLinkage.empty(demo_universe))}, 10)
     assert [action for action, _ in trace] == ["getatobj(r)"]
     assert trace.terminal == "Stop"
 
@@ -247,12 +246,11 @@ def test_blocked_absorption_randomized():
         blocked = False
         for _ in range(30):
             m = rng.choice(methods)
-            r = svc.reply(m)
+            r, svc = svc.process(m)
             if blocked:
                 assert r == BLOCKED
             if r == BLOCKED:
                 blocked = True
-            svc = svc.derive(m)
 
 
 # --- use on long threads ------------------------------------------------------
@@ -291,7 +289,7 @@ def _same_thread(t1, t2) -> bool:
 
 def test_use_runs_long_threads_under_the_default_recursion_limit(demo_universe):
     limit = sys.getrecursionlimit()
-    svc = _LimitWatch(dlds(DataLinkage.empty(demo_universe)), limit)
+    svc = _LimitWatch(DldService(DataLinkage.empty(demo_universe)), limit)
     spec = parse_spec("main = X\nX = getatobj(r) ; clrspot(r) ; X", demo_universe)
     with pytest.raises(BudgetExhausted):
         use(spec.entry(), "dld", svc, budget=100_000, spec=spec)
@@ -389,11 +387,11 @@ def test_machine_matches_the_service_on_random_traces(bounds):
 
 
 def test_machine_keeps_its_state_on_a_blocked_reply(demo_universe, L):
-    machine = DldMachine(dlds(L("r:#0, #0.up:?")))
+    machine = DldMachine(DldService(L("r:#0, #0.up:?")))
     assert machine.process(A("fgc")) == (BLOCKED, machine)
     assert machine.process("nonsense") == (BLOCKED, machine)
     assert machine.render() == "r:#0, #0.up:?"
-    undef = DldMachine(dlds(L("r:#0")).derive("nonsense"))
+    undef = DldMachine(DldService(L("r:#0")).process("nonsense")[1])
     assert undef.process(A("clrspot", "r")) == (BLOCKED, undef)
     assert undef.render() == "undef"
 
