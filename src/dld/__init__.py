@@ -17,8 +17,7 @@ from .meadow import Meadow
 from .parsing import parse_action, parse_action_list, parse_linkage, parse_term
 from .reclaim import (clear_refs, effect_dldr, fgc, perform_dldr, rgc,
                       safe_dispose, yield_dldr)
-from .refine import (CommutationVerdict, check_commutation, enumerate_states,
-                     represent, retrieve)
+from .refine import check_commutation, enumerate_states, represent, retrieve
 from .semantics import RuleFire, effect, evaluate, perform, yield_
 from .set_model import (SetState, effect_set_reclaim, incycle, is_tight,
                         perform_set, perform_set_reclaim, reach_atoms,

@@ -18,8 +18,7 @@ from .oracles import fgc_one_at_a_time, normalize_by_axioms, rgc_one_at_a_time
 from .reclaim import fgc, perform_dldr, rgc
 from .refine import check_commutation, enumerate_states
 from .semantics import Scan, perform
-from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, Post, Ref, Service,
-                      ThreadSpec, use)
+from .threads import BLOCKED, DEADLOCK, STOP, TAU, Call, Post, Service, use
 from .universe import Universe, small_universe
 
 _DETAIL_CAP = 25
@@ -302,12 +301,8 @@ def suite_thm3(u: Universe | None = None,
     summary = Summary("thm3")
     instances = all_basic_actions(u) + all_reclaim_actions(u)
     for st in enumerate_states(u, tight_only=not include_nontight):
-        for act in instances:
-            verdict = check_commutation(act, st)
-            if verdict.passed:
-                summary.ok()
-            else:
-                summary.fail(verdict.describe())
+        for failure in check_commutation(st, instances):
+            summary.record(failure is None, failure)
     return summary
 
 
@@ -317,13 +312,10 @@ def suite_gc_cross(u: Universe | None = None, seed: int = 0) -> Summary:
     u = u or default_universe("gc-cross")
     rng = random.Random(seed)
     summary = Summary("gc-cross")
+    collectors = (Act("fgc"), Act("rgc"))
     for st in enumerate_states(u, tight_only=True):
-        for act_name in ("fgc", "rgc"):
-            verdict = check_commutation(Act(act_name), st)
-            if verdict.passed:
-                summary.ok()
-            else:
-                summary.fail(verdict.describe())
+        for failure in check_commutation(st, collectors):
+            summary.record(failure is None, failure)
     for l in enumerate_linkages(u):
         full = fgc(l)
         restricted = rgc(l)
@@ -376,14 +368,7 @@ def random_thread(rng: random.Random, depth: int, foci, methods):
     return Post(Call(rng.choice(foci), rng.choice(methods)), left, right)
 
 
-def thread_equal(t1, t2, depth: int = 32, spec: ThreadSpec | None = None) -> bool:
-    def unfold(t):
-        if isinstance(t, Ref):
-            return spec.body(t.name)
-        return t
-
-    t1 = unfold(t1)
-    t2 = unfold(t2)
+def thread_equal(t1, t2, depth: int = 32) -> bool:
     if depth <= 0:
         return True
     if t1 is STOP or t1 is DEADLOCK or t2 is STOP or t2 is DEADLOCK:
@@ -395,8 +380,8 @@ def thread_equal(t1, t2, depth: int = 32, spec: ThreadSpec | None = None) -> boo
             return False
         if t1.action != t2.action:
             return False
-    return (thread_equal(t1.then, t2.then, depth - 1, spec)
-            and thread_equal(t1.orelse, t2.orelse, depth - 1, spec))
+    return (thread_equal(t1.then, t2.then, depth - 1)
+            and thread_equal(t1.orelse, t2.orelse, depth - 1))
 
 
 def suite_tsu(cases: int = 500, seed: int = 0) -> Summary:

@@ -140,12 +140,14 @@ _OUTPUTS = ("trace", "final", "machine")
 def cmd_run(args) -> int:
     config = read_config(args.config)
     u = build_universe(config, args)
-    variant = args.service or config.get("service", "plain")
+    variant = (args.service if args.service is not None
+               else config.get("service", "plain"))
     if args.max_steps is not None:
         budget = _integer(args.max_steps, "--max-steps", 0)
     else:
         budget = _integer(config.get("max_steps", 1000), "max_steps", 0)
-    output = args.output or config.get("output", "trace")
+    output = (args.output if args.output is not None
+              else config.get("output", "trace"))
     if output not in _OUTPUTS:
         raise DldError(f"unknown output {output!r}; "
                        f"choose one of {', '.join(_OUTPUTS)}")

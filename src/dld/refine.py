@@ -5,10 +5,8 @@ compares the outcomes through retrieve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
-from .actions import Act
 from .errors import NonDeterministicState
 from .linkage import FLD, PFLD, SPOT, DataLinkage, flink, pflink, slink, valass
 from .reclaim import perform_dldr
@@ -57,55 +55,37 @@ def represent(l: DataLinkage) -> SetState:
     return SetState(l.universe, sigma, zeta, xi).check_invariants()
 
 
-@dataclass(frozen=True)
-class CommutationVerdict:
-    action: Act
-    state: SetState
-    passed: bool
-    tight: bool
-    rewrite_state: DataLinkage | None = None
-    set_state: DataLinkage | None = None
-    rewrite_reply: bool | None = None
-    set_reply: bool | None = None
-
-    def describe(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        base = f"{status} {self.action} {retrieve(self.state).canonical_text()}"
-        if self.passed:
-            return base
-        return (f"{base} rewrite={self.rewrite_state.canonical_text()}"
-                f"/{'T' if self.rewrite_reply else 'F'}"
-                f" set={self.set_state.canonical_text()}"
-                f"/{'T' if self.set_reply else 'F'}"
-                f" tight={str(self.tight).lower()}")
-
-
-def check_commutation(act: Act, st: SetState) -> CommutationVerdict:
-    """Does the action commute with retrieve?  Both the resulting state
-    (as a canonical linkage) and the reply must agree."""
+def check_commutation(st: SetState, actions) -> list:
+    """Does each action commute with retrieve on st?  One entry per
+    action, in order: None when both the resulting state (as a canonical
+    linkage) and the reply agree, else the failure line
+    `<action> <retrieved st> rewrite=<state>/<T|F> set=<state>/<T|F>
+    tight=<true|false>`."""
     l = retrieve(st)
-    rewrite_state, rewrite_reply = perform_dldr(act, l)
-    set_next, set_reply = perform_set_reclaim(act, st)
-    set_state = retrieve(set_next)
-    passed = rewrite_state == set_state and rewrite_reply == set_reply
-    return CommutationVerdict(
-        action=act, state=st, passed=passed, tight=is_tight(st),
-        rewrite_state=rewrite_state, set_state=set_state,
-        rewrite_reply=rewrite_reply, set_reply=set_reply)
+    entries = []
+    for act in actions:
+        rewrite_state, rewrite_reply = perform_dldr(act, l)
+        set_next, set_reply = perform_set_reclaim(act, st)
+        set_state = retrieve(set_next)
+        if rewrite_state == set_state and rewrite_reply == set_reply:
+            entries.append(None)
+            continue
+        entries.append(f"{act} {l.canonical_text()}"
+                       f" rewrite={rewrite_state.canonical_text()}"
+                       f"/{'T' if rewrite_reply else 'F'}"
+                       f" set={set_state.canonical_text()}"
+                       f"/{'T' if set_reply else 'F'}"
+                       f" tight={str(is_tight(st)).lower()}")
+    return entries
 
 
-def enumerate_states(universe: Universe, max_atoms: int | None = None,
-                     tight_only: bool = False):
-    """Every map-triple state within bounds, each exactly once.
-
-    max_atoms bounds the number of in-use atoms (default: all of them);
-    with tight_only, states where some in-use atom would be invisible in
-    the retrieved linkage are skipped.
-    """
+def enumerate_states(universe: Universe, tight_only: bool = False):
+    """Every map-triple state over the universe, each exactly once; with
+    tight_only, states where some in-use atom would be invisible in the
+    retrieved linkage are skipped."""
     atoms = universe.atoms
-    limit = len(atoms) if max_atoms is None else min(max_atoms, len(atoms))
     values = tuple(range(universe.modulus)) + (None,)
-    for k in range(limit + 1):
+    for k in range(len(atoms) + 1):
         for used in combinations(atoms, k):
             spot_choices = (None,) + used
             field_maps = list(_field_maps(universe.fields, used))

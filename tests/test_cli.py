@@ -150,9 +150,10 @@ def test_check_thm3_small(capsys):
                  "--atoms", "2", "--modulus", "2",
                  "--include-nontight"]) == 1
     out = capsys.readouterr().out.strip().splitlines()
-    assert any(line.startswith("FAIL") and "tight=false" in line
+    assert out[0] == "FAIL getatobj(s) 0 rewrite=s:#0/T set=s:#1/T tight=false"
+    assert all(line.startswith("FAIL ") and line.endswith(" tight=false")
                for line in out[:-1])
-    assert re.fullmatch(r"checked=\d+ passed=\d+ failed=[1-9]\d*", out[-1])
+    assert out[-1] == "checked=15477 passed=15369 failed=108"
 
 
 def _user_error(capsys, argv) -> str:
@@ -223,6 +224,9 @@ def test_roundtrip_all_small_linkages():
     ("modulus=11\nservice=bogus", [], "service"),
     ("modulus=11", ["--service", "bogus"], "service"),
     ("modulus=11", ["--output", "bogus"], "output"),
+    # an empty flag value is an error too, not a fall back to the default
+    ("modulus=11", ["--service", ""], "service"),
+    ("modulus=11", ["--output", ""], "output"),
 ])
 def test_bad_run_settings_are_user_errors(capsys, tmp_path, settings, flags,
                                           named):

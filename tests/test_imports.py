@@ -1,8 +1,9 @@
 """Every name a dld module imports is used in that module.
 
-`__init__.py` re-exports, so it is left out; an import marked
-`noqa: F401` is there for an outside tool (perfbench wraps those names)
-and is left out too."""
+`__init__.py` re-exports, so it is left out.  An import marked
+`noqa: F401` is left out only when perfbench's `SPANS` names it as a
+span target in that module: perfbench wraps it there by name, so it is
+imported for the benchmark's tracer, not for the module's own code."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,20 @@ import dld
 
 SOURCES = sorted(p for p in Path(dld.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _span_targets() -> set:
+    """The (module, attribute) pairs of perfbench's SPANS tuple."""
+    for node in ast.parse(LAYERS.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["SPANS"]):
+            return {(module, name) for module, name, _
+                    in ast.literal_eval(node.value)}
+    raise AssertionError(f"no SPANS in {LAYERS}")
+
+
+SPAN_TARGETS = _span_targets()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -20,17 +35,20 @@ def test_no_unused_imports(path):
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     tree = ast.parse(text)
+    module = f"dld.{path.stem}"
     imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        marked = any("noqa: F401" in line
+                     for line in lines[node.lineno - 1:node.end_lineno])
         for alias in node.names:
-            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            name = alias.asname or alias.name.split(".")[0]
+            if marked and (module, name) in SPAN_TARGETS:
+                continue
+            imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
