@@ -91,18 +91,20 @@ def enumerate_deterministic(u: Universe):
         yield DataLinkage(u, [x for x in picks if x is not None])
 
 
-def random_linkage(rng: random.Random, u: Universe, max_links: int = 5) -> DataLinkage:
-    pool = all_links(u)
+def random_linkage(rng: random.Random, u: Universe, pool: list,
+                   max_links: int = 5) -> DataLinkage:
+    """Up to max_links links drawn from pool, `all_links(u)`."""
     return DataLinkage(u, rng.sample(pool, rng.randint(0, min(max_links, len(pool)))))
 
 
-def random_term(rng: random.Random, u: Universe, depth: int):
+def random_term(rng: random.Random, u: Universe, pool: list, depth: int):
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.15:
             return TEmpty()
-        return TLit(random_linkage(rng, u))
+        return TLit(random_linkage(rng, u, pool))
     kind = TCombine if rng.random() < 0.5 else TOverride
-    return kind(random_term(rng, u, depth - 1), random_term(rng, u, depth - 1))
+    return kind(random_term(rng, u, pool, depth - 1),
+                random_term(rng, u, pool, depth - 1))
 
 
 # --- axiom suite ---------------------------------------------------------------
@@ -111,12 +113,12 @@ def _distinct(rng, pool, k):
     return rng.sample(list(pool), k)
 
 
-def _axiom_cases(rng: random.Random, u: Universe):
+def _axiom_cases(rng: random.Random, u: Universe, pool: list):
     """One random closed instantiation of every combination and override
     axiom; yields (name, lhs term, rhs term)."""
-    X = random_term(rng, u, 3)
-    Y = random_term(rng, u, 3)
-    Z = random_term(rng, u, 3)
+    X = random_term(rng, u, pool, 3)
+    Y = random_term(rng, u, pool, 3)
+    Z = random_term(rng, u, pool, 3)
     s, t = _distinct(rng, u.spots, 2) if len(u.spots) > 1 else (u.spots[0],) * 2
     a = rng.choice(u.atoms)
     b = rng.choice(u.atoms)
@@ -201,13 +203,16 @@ def suite_axioms(u: Universe | None = None, cases: int = 100,
     u = u or default_universe("axioms")
     rng = random.Random(seed)
     summary = Summary("axioms")
+    pool = all_links(u)
     for _ in range(cases):
-        for name, lhs, rhs in _axiom_cases(rng, u):
+        for name, lhs, rhs in _axiom_cases(rng, u, pool):
             left = normalize(lhs, u)
             right = normalize(rhs, u)
-            summary.record(left == right,
-                           f"{name}: {left.canonical_text()} != "
-                           f"{right.canonical_text()}")
+            if left == right:
+                summary.ok()
+            else:
+                summary.fail(f"{name}: {left.canonical_text()} != "
+                             f"{right.canonical_text()}")
     return summary
 
 
@@ -225,14 +230,18 @@ def suite_thm1(u: Universe | None = None, cases: int = 1000,
     rng = random.Random(seed)
     summary = Summary("thm1")
     sampled = set(rng.sample(range(cases), min(_THM1_ORACLE_SAMPLES, cases)))
+    pool = all_links(u)
     for i in range(cases):
-        term = random_term(rng, u, _THM1_DEPTH)
+        term = random_term(rng, u, pool, _THM1_DEPTH)
         nf = normalize(term, u)
         ok = normalize(TCombine(term, term), u) == nf
         ok = ok and normalize(TCombine(TLit(nf), TLit(nf)), u) == nf
         if i in sampled:
             ok = ok and normalize_by_axioms(term, u) == nf
-        summary.record(ok, f"term {i}: {nf.canonical_text()}")
+        if ok:
+            summary.ok()
+        else:
+            summary.fail(f"term {i}: {nf.canonical_text()}")
     return summary
 
 

@@ -20,7 +20,9 @@ run mode updates in place, one guard call and one (drop, add) per step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .actions import Act
 from .linkage import (FLD, PFLD, SPOT, DataLinkage, flink, link_atoms, pflink,
@@ -56,6 +58,10 @@ class Scan:
                 atoms.add(link[1])
         self.spot, self.pf, self.fl, self.val, self.atoms = (
             spot, pf, fl, val, atoms)
+
+    def fresh(self, u):
+        """The atom getatobj takes: the universe's choice function."""
+        return u.choose_fresh(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ def _old_spot(s, a):
 def _getatobj(u, scan, s):
     if _spot_nondet(scan, s):
         return _shield("p1.spot-nondet", {"s": s})
-    fresh = u.choose_fresh(scan.atoms)
+    fresh = scan.fresh(u)
     if fresh is None:
         return _keep(False, "p2.exhausted", {"s": s})
     return (True, "p2.alloc", "p2.alloc", {"s": s, "a": fresh},
@@ -427,33 +433,37 @@ def evaluate(act: Act, l: DataLinkage):
 class Heap(Scan):
     """A Scan kept up to date in place, for long runs of one state.
 
-    Besides the Scan's indexes it holds the links in insertion order,
-    each with its sort key and text, and a per-atom occurrence count that
-    serves as `atoms`.  `apply` drops and adds one link each, so a basic
-    action costs one guard call and O(1) index updates, and `render`
-    costs one sort and one join of the kept texts.  The indexes equal
-    those of `Scan(self.linkage())` after every update; run mode holds
-    only deterministic states, where every index list has one entry.
+    Besides the Scan's indexes it holds the links as an ordered set, a
+    per-atom occurrence count that serves as `atoms`, and a min-heap of
+    the indexes of atoms that may be free, for `fresh`.  `apply` drops
+    and adds one link each.  From the first `render` on it also keeps
+    the links' sort keys and texts in canonical order, updated by
+    bisection, so a render is one join.  The indexes equal those of
+    `Scan(self.linkage())` after every update; run mode holds only
+    deterministic states, where every index list has one entry.
     """
 
-    __slots__ = ("universe", "links")
+    __slots__ = ("universe", "links", "_free", "_keys", "_texts")
 
     def __init__(self, l: DataLinkage):
-        self.universe = l.universe
-        self.links: dict = {}
-        self.reset(l)
-
-    def reset(self, l: DataLinkage):
-        """Index `l` afresh; the keys and texts of kept links carry over."""
         Scan.__init__(self, l)
-        old, u = self.links, self.universe
-        self.links = {x: old.get(x) or (sort_key(u, x), render_link(x))
-                      for x in l.iter_links()}
+        u = self.universe = l.universe
+        self.links = dict.fromkeys(l.iter_links())
         counts: dict = {}
         for link in self.links:
             for a in link_atoms(link):
                 counts[a] = counts.get(a, 0) + 1
         self.atoms = counts
+        self._free = [i for i, a in enumerate(u.atoms) if a not in counts]
+        self._keys = self._texts = None
+
+    def fresh(self, u):
+        """`u.choose_fresh(self.atoms)` in O(log atoms) amortised time;
+        atoms taken since they were pushed are popped here."""
+        free, atoms, used = self._free, u.atoms, self.atoms
+        while free and atoms[free[0]] in used:
+            heappop(free)
+        return atoms[free[0]] if free else None
 
     def perform(self, act: Act) -> bool:
         """The reply of a basic action, whose effect is applied in place."""
@@ -464,12 +474,21 @@ class Heap(Scan):
 
     def apply(self, drop, add):
         """Drop one link and add one (None: no link), as `_apply` does."""
-        if drop is not None and drop in self.links:
-            del self.links[drop]
+        links, keys = self.links, self._keys
+        if drop is not None and drop in links:
+            del links[drop]
             self._index(drop, -1)
-        if add is not None and add not in self.links:
-            self.links[add] = (sort_key(self.universe, add), render_link(add))
+            if keys is not None:
+                i = bisect_left(keys, sort_key(self.universe, drop))
+                del keys[i], self._texts[i]
+        if add is not None and add not in links:
+            links[add] = None
             self._index(add, 1)
+            if keys is not None:
+                key = sort_key(self.universe, add)
+                i = bisect_left(keys, key)
+                keys.insert(i, key)
+                self._texts.insert(i, render_link(add))
 
     def _index(self, link, delta):
         tag = link[0]
@@ -491,15 +510,20 @@ class Heap(Scan):
                 counts[a] = n
             else:
                 del counts[a]
+                heappush(self._free, self.universe.atom_index[a])
 
     def linkage(self) -> DataLinkage:
         return DataLinkage(self.universe, self.links)
 
     def render(self) -> str:
         """Byte for byte `self.linkage().canonical_text()`."""
-        if not self.links:
-            return "0"
-        return ", ".join(text for _, text in sorted(self.links.values()))
+        if self._keys is None:
+            u = self.universe
+            order = sorted((sort_key(u, x), render_link(x))
+                           for x in self.links)
+            self._keys = [key for key, _ in order]
+            self._texts = [text for _, text in order]
+        return ", ".join(self._texts) or "0"
 
 
 def _update(index: dict, key, item, delta):

@@ -16,7 +16,7 @@ from typing import Optional
 from .actions import BASIC_SIGNATURES, RECLAIM_SIGNATURES, Act
 from .errors import BudgetExhausted, DldError, NonDeterministicState, UnknownFocus
 from .linkage import DataLinkage
-from .reclaim import fgc, perform_dldr
+from .reclaim import fgc, perform_dldr, reclaim_in_place
 from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
 from .semantics import Heap
 from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
@@ -173,16 +173,19 @@ class DldService(Service):
         return self.state.canonical_text()
 
 
+_FGC = Act("fgc")
+
+
 class DldMachine:
     """A DldService run in place over a Heap, for `run`.
 
     `process` gives the reply DldService.process gives, but updates this
     machine and returns it as the successor.  A basic action is one
     guard call and one in-place update.  The reclamation actions, and
-    afgc's collection before getatobj, run the immutable collectors on
-    `heap.linkage()` and index the result afresh, in time linear in the
-    links as the collectors are.  A Blocked reply leaves the state as it
-    was, since a run stops there and shows the state the call met.
+    afgc's collection before getatobj, apply the collectors' changes to
+    the heap in place, in time linear in the links as the collectors
+    are.  A Blocked reply leaves the state as it was, since a run stops
+    there and shows the state the call met.
     """
 
     def __init__(self, service: DldService):
@@ -193,17 +196,11 @@ class DldMachine:
         heap = self.heap
         if heap is None or not _accepts(self.variant, method):
             return BLOCKED, self
-        if method.is_basic:
-            if self.variant == "afgc" and method.name == "getatobj":
-                collected = fgc(heap.linkage())
-                if len(collected) < len(heap.links):
-                    heap.reset(collected)
-            return heap.perform(method), self
-        pre = heap.linkage()
-        state, reply = perform_dldr(method, pre)
-        if state is not pre:
-            heap.reset(state)
-        return reply, self
+        if not method.is_basic:
+            return reclaim_in_place(method, heap), self
+        if self.variant == "afgc" and method.name == "getatobj":
+            reclaim_in_place(_FGC, heap)
+        return heap.perform(method), self
 
     def render(self) -> str:
         return "undef" if self.heap is None else self.heap.render()

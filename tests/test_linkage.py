@@ -12,6 +12,7 @@ from dld.parsing import parse_linkage, parse_term
 from dld.universe import small_universe
 
 U = small_universe(2, 2, 3, 3)
+POOL = all_links(U)
 
 
 def L(text):
@@ -20,7 +21,7 @@ def L(text):
 
 linkages = st.builds(
     lambda picks: DataLinkage(U, picks),
-    st.lists(st.sampled_from(all_links(U)), max_size=6))
+    st.lists(st.sampled_from(POOL), max_size=6))
 
 
 def test_combine_examples():
@@ -91,7 +92,7 @@ def test_override_distributes_over_combine(x, y, z):
 def test_normalize_idempotent_and_order_free():
     rng = random.Random(7)
     for _ in range(300):
-        term = random_term(rng, U, 5)
+        term = random_term(rng, U, POOL, 5)
         nf = normalize(term, U)
         assert normalize(TLit(nf), U) == nf
         assert normalize(TCombine(term, term), U) == nf
@@ -109,7 +110,7 @@ def test_normalize_idempotent_and_order_free():
 def test_normalize_agrees_with_axiom_chaining_oracle():
     rng = random.Random(11)
     for _ in range(300):
-        term = random_term(rng, U, 5)
+        term = random_term(rng, U, POOL, 5)
         assert normalize(term, U) == normalize_by_axioms(term, U)
 
 
@@ -135,7 +136,7 @@ def _fold_pairwise(term):
 def test_normalize_keeps_the_pairwise_link_order():
     rng = random.Random(5)
     for _ in range(500):
-        term = random_term(rng, U, 6)
+        term = random_term(rng, U, POOL, 6)
         assert normalize(term, U).iter_links() == _fold_pairwise(term).iter_links()
     chain = TLit(L("s:#2, #0=1"))
     for text in ("s:#0", "#0=1", "t:#1, s:#2", "0"):

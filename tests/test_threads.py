@@ -14,7 +14,7 @@ from dld.semantics import Scan
 from dld.threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
                          DldService, Post, Ref, Service, ThreadSpec, prefix,
                          run, step_thread, use)
-from dld.universe import small_universe
+from dld.universe import Universe, small_universe
 
 
 def A(name, *args):
@@ -112,15 +112,17 @@ def test_afgc_matches_manual_composition(tiny_universe):
 
 
 def test_afgc_collects_once_per_getatobj(tiny_universe, monkeypatch):
-    import dld.threads
+    # run applies fgc's changes to its heap and use takes fgc of the
+    # state: both go through fgc_changes
+    import dld.reclaim
     calls = []
-    collect = dld.threads.fgc
+    collect = dld.reclaim.fgc_changes
 
-    def counted(l):
-        calls.append(l)
-        return collect(l)
+    def counted(links):
+        calls.append(links)
+        return collect(links)
 
-    monkeypatch.setattr(dld.threads, "fgc", counted)
+    monkeypatch.setattr(dld.reclaim, "fgc_changes", counted)
     u = tiny_universe
     state = parse_linkage("s:#0, #1.f:#1", u)
     spec = parse_spec("main = getatobj(t) ; clrspot(t) ; getatobj(t) ; S", u)
@@ -365,11 +367,16 @@ def _random_deterministic(rng, u) -> DataLinkage:
     return DataLinkage(u, links)
 
 
-def _assert_indexes_current(heap):
-    scan = Scan(heap.linkage())
+def _assert_heap_current(heap):
+    """The heap's indexes, free-atom choice and kept render order equal
+    what a fresh Scan and canonical_text give for its links."""
+    l = heap.linkage()
+    scan = Scan(l)
     assert (heap.spot, heap.pf, heap.fl, heap.val) == \
         (scan.spot, scan.pf, scan.fl, scan.val)
     assert set(heap.atoms) == scan.atoms and all(heap.atoms.values())
+    assert heap.fresh(l.universe) == l.universe.choose_fresh(scan.atoms)
+    assert heap.render() == l.canonical_text()
 
 
 @pytest.mark.parametrize("bounds", [(3, 2, 3, 3), (3, 2, 6, 5)])
@@ -383,7 +390,25 @@ def test_machine_matches_the_service_on_random_traces(bounds):
         machine = DldMachine(svc)
         for _ in range(100):
             svc = _check_step(svc, machine, rng.choice(acts))
-            _assert_indexes_current(machine.heap)
+            _assert_heap_current(machine.heap)
+
+
+@pytest.mark.parametrize("variant", ["afgc", "dldr"])
+def test_machine_collects_in_place_on_random_traces(variant):
+    # collection and disposal between allocations on a universe with
+    # spare atoms, so atoms are freed and taken again many times
+    u = small_universe(4, 2, 12, 3)
+    acts = all_actions(u)
+    churn = ([a for a in acts if not a.is_basic]
+             + [a for a in acts if a.name in ("getatobj", "setfield",
+                                              "getfield", "clrspot")])
+    rng = random.Random(len(variant))
+    for _ in range(40):
+        svc = DldService(_random_deterministic(rng, u), variant)
+        machine = DldMachine(svc)
+        for _ in range(150):
+            svc = _check_step(svc, machine, rng.choice(churn))
+            _assert_heap_current(machine.heap)
 
 
 def test_machine_keeps_its_state_on_a_blocked_reply(demo_universe, L):
@@ -427,3 +452,60 @@ def test_final_output_renders_once_and_scans_once(tmp_path, capsys, monkeypatch)
                      + [f"#{k}.up:#{k - 1}" for k in range(1, nodes)])
     assert capsys.readouterr().out == want + "\n"
     assert counts["render"] <= 1 and counts["scan"] <= 1
+
+
+def test_collection_and_disposal_run_in_place(tmp_path, capsys, monkeypatch):
+    # a ring of 150 nodes with values, and rounds that hang a temporary
+    # node off the cursor and dispose of it four ways: sd, ud, clrspot
+    # then rgc, and clrspot alone, left to afgc's next collection
+    from dld.cli import main
+    nodes, rounds = 150, 6
+    u_cfg = (f"spots=h,w,x\nfields=nx,ref\natoms={nodes + 2}\nmodulus=2\n"
+             "service=afgc\n")
+    ring = [f"#{i}" for i in range(nodes)]
+    init = ", ".join(["h:#0", "w:#0"]
+                     + [f"{a}.nx:{ring[(i + 1) % nodes]}"
+                        for i, a in enumerate(ring)]
+                     + [f"{a}={i % 2}" for i, a in enumerate(ring)])
+    hang = "getatobj(x) ; addfield(x,ref) ; setfield(x,ref,w) ; "
+    step = " ; getfield(w,w,nx) ; "
+    body = (hang + "sdclrspot(x)" + step + hang + "udclrspot(x)" + step
+            + hang + "clrspot(x) ; rgc" + step + hang + "clrspot(x)" + step)
+    spec = "main = R0\n" + "".join(
+        f"R{i} = {body}R{i + 1}\n" for i in range(rounds)) + \
+        f"R{rounds} = getatobj(x) ; S\n"
+    for name, text in (("u.cfg", u_cfg), ("init.txt", init),
+                       ("churn.thread", spec)):
+        (tmp_path / name).write_text(text + "\n")
+    u = Universe(("h", "w", "x"), ("nx", "ref"),
+                 tuple(f"#{i}" for i in range(nodes + 2)), 2)
+    parsed = parse_spec(spec, u)
+    services = {"dld": DldService(parse_linkage(init, u), "afgc")}
+    want = [f"init {services['dld'].render()}"]
+    t, terminal = parsed.entry(), None
+    while terminal is None:
+        t, taken, terminal = step_thread(t, parsed, services)
+        if taken is not None:
+            want.append(f"{taken[0]} {taken[1]} {services['dld'].render()}")
+    want.append("stop")
+    assert len(services["dld"].state) > 300
+
+    counts = {"render": 0, "scan": 0, "build": 0}
+    render, scan, build = (DataLinkage.canonical_text, Scan.__init__,
+                           DataLinkage.__init__)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(DataLinkage, "canonical_text", counted("render", render))
+    monkeypatch.setattr(Scan, "__init__", counted("scan", scan))
+    monkeypatch.setattr(DataLinkage, "__init__", counted("build", build))
+    assert main(["run", "--config", str(tmp_path / "u.cfg"),
+                 "--spec", str(tmp_path / "churn.thread"),
+                 "--init", str(tmp_path / "init.txt")]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+    assert counts["render"] == 0
+    assert counts["scan"] <= 1 and counts["build"] <= 1
