@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .actions import Act, all_basic_actions, all_reclaim_actions
+from .errors import DldError
 from .linkage import (DataLinkage, TCombine, TEmpty, TLit, TOverride, flink,
                       normalize, pflink, slink, valass)
 from .oracles import fgc_one_at_a_time, normalize_by_axioms, rgc_one_at_a_time
@@ -91,10 +92,47 @@ def enumerate_deterministic(u: Universe):
         yield DataLinkage(u, [x for x in picks if x is not None])
 
 
-def random_linkage(rng: random.Random, u: Universe, pool: list,
-                   max_links: int = 5) -> DataLinkage:
-    """Up to max_links links drawn from pool, `all_links(u)`."""
-    return DataLinkage(u, rng.sample(pool, rng.randint(0, min(max_links, len(pool)))))
+# the most states an exhaustive suite builds: each takes about a
+# millisecond to check at the default universes, so about half an hour
+_MAX_STATES = 2_000_000
+# where counting states stops, so that a huge universe counts fast
+_COUNT_LIMIT = 2 ** 64
+
+
+def _refuse_unfinishable(suite: str, states: int):
+    if states > _MAX_STATES:
+        size = f"{states:,}" if states < _COUNT_LIMIT else "more than 2^64"
+        raise DldError(f"{suite} would build {size} states over this "
+                       f"universe, more than the {_MAX_STATES:,} it can "
+                       "finish; choose a smaller universe")
+
+
+def _state_counts(u: Universe) -> tuple:
+    """(linkages, map triples): how many states enumerate_linkages and
+    enumerate_states build over u, counted without building them; a
+    count that reaches _COUNT_LIMIT stops there."""
+    s, f, n, m = len(u.spots), len(u.fields), len(u.atoms), u.modulus
+    links = s * n + n * f * (1 + n) + n * m
+    linkages = 2 ** min(links, 64)
+    # per set of k in-use atoms: each spot undefined or on one of them,
+    # each (atom, field) entry absent, partial or on one, each value
+    # absent or one of the modulus
+    triples, subsets = 0, 1
+    for k in range(n + 1):
+        triples += subsets * (k + 1) ** s * (k + 2) ** (f * k) * (m + 1) ** k
+        if triples >= _COUNT_LIMIT:
+            return linkages, _COUNT_LIMIT
+        subsets = subsets * (n - k) // (k + 1)
+    return linkages, triples
+
+
+# the most links a random linkage has
+_RANDOM_LINKS = 5
+
+
+def random_linkage(rng: random.Random, u: Universe, pool: list) -> DataLinkage:
+    """Up to _RANDOM_LINKS links drawn from pool, `all_links(u)`."""
+    return DataLinkage(u, rng.sample(pool, rng.randint(0, min(_RANDOM_LINKS, len(pool)))))
 
 
 def random_term(rng: random.Random, u: Universe, pool: list, depth: int):
@@ -260,6 +298,7 @@ def suite_thm2(u: Universe | None = None, seed: int = 0) -> Summary:
     link orders; reclamation actions likewise on every deterministic
     state plus sampled non-deterministic ones."""
     u = u or default_universe("thm2")
+    _refuse_unfinishable("thm2", _state_counts(u)[0])
     rng = random.Random(seed)
     summary = Summary("thm2")
     basic = all_basic_actions(u)
@@ -307,6 +346,7 @@ def _check_shuffles(summary, rng, states, actions, outcomes, shuffles):
 def suite_thm3(u: Universe | None = None,
                include_nontight: bool = False) -> Summary:
     u = u or default_universe("thm3")
+    _refuse_unfinishable("thm3", _state_counts(u)[1])
     summary = Summary("thm3")
     instances = all_basic_actions(u) + all_reclaim_actions(u)
     for st in enumerate_states(u, tight_only=not include_nontight):
@@ -319,6 +359,7 @@ def suite_thm3(u: Universe | None = None,
 
 def suite_gc_cross(u: Universe | None = None, seed: int = 0) -> Summary:
     u = u or default_universe("gc-cross")
+    _refuse_unfinishable("gc-cross", sum(_state_counts(u)))
     rng = random.Random(seed)
     summary = Summary("gc-cross")
     collectors = (Act("fgc"), Act("rgc"))
@@ -355,16 +396,20 @@ class TableService(Service):
         return reply, TableService(self.table, successor)
 
 
-def random_service(rng: random.Random, methods, n_states: int = 4) -> TableService:
+# how many states a random service has besides the blocked one
+_SERVICE_STATES = 4
+
+
+def random_service(rng: random.Random, methods) -> TableService:
     table = {}
     for m in methods:
-        for s in range(n_states):
+        for s in range(_SERVICE_STATES):
             roll = rng.random()
             if roll < 0.15:
                 table[(m, s)] = (BLOCKED, "blocked")
             else:
-                table[(m, s)] = (roll < 0.6, rng.randrange(n_states))
-    return TableService(table, rng.randrange(n_states))
+                table[(m, s)] = (roll < 0.6, rng.randrange(_SERVICE_STATES))
+    return TableService(table, rng.randrange(_SERVICE_STATES))
 
 
 def random_thread(rng: random.Random, depth: int, foci, methods):

@@ -99,19 +99,13 @@ class DataLinkage:
     look at the set.
     """
 
-    __slots__ = ("universe", "links", "_order", "_hash")
+    __slots__ = ("universe", "links", "_order")
 
     def __init__(self, universe: Universe, links=()):
-        seen = set()
-        ordered = []
-        for link in links:
-            if link not in seen:
-                seen.add(link)
-                ordered.append(link)
+        ordered = dict.fromkeys(links)
         self.universe = universe
-        self.links = frozenset(seen)
+        self.links = frozenset(ordered)
         self._order = tuple(ordered)
-        self._hash = hash(self.links)
 
     @classmethod
     def empty(cls, universe: Universe) -> "DataLinkage":
@@ -119,9 +113,6 @@ class DataLinkage:
 
     def iter_links(self):
         return self._order
-
-    def with_links(self, links) -> "DataLinkage":
-        return DataLinkage(self.universe, links)
 
     def canonical(self) -> tuple:
         return tuple(sorted(self.links, key=partial(sort_key, self.universe)))
@@ -180,7 +171,7 @@ class DataLinkage:
                 and self.universe == other.universe)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.links)
 
     def __repr__(self) -> str:
         return f"DataLinkage({self.canonical_text()!r})"

@@ -3,7 +3,7 @@
 Each oracle recomputes a result along a different route than the
 shipped implementation: literal axiom chaining instead of the key-set
 closed form, the collectors' rewrite rules applied one link at a time
-(in a random order when given an `rng`) instead of one linear search,
+(in an order drawn from the given `rng`) instead of one linear search,
 and so on.  The test suite and the `check` command compare the two
 routes.
 """
@@ -54,7 +54,7 @@ def normalize_by_axioms(term, universe: Universe) -> DataLinkage:
     return DataLinkage(universe, sorted(go(term)))
 
 
-def fgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
+def fgc_one_at_a_time(l: DataLinkage, rng) -> DataLinkage:
     """Full collection by moving a single enabled link at a time into the
     kept part: a spot link always, any other link once a kept spot or
     field link points to its atom (the shipped collector searches once)."""
@@ -64,8 +64,8 @@ def fgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
     while True:
         moves = [x for x in remainder if x[0] == SPOT or x[1] in targets]
         if not moves:
-            return l.with_links(kept)
-        link = rng.choice(moves) if rng is not None else moves[0]
+            return DataLinkage(l.universe, kept)
+        link = rng.choice(moves)
         remainder.remove(link)
         kept.append(link)
         if link[0] == SPOT:
@@ -74,7 +74,7 @@ def fgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
             targets.add(link[3])
 
 
-def safe_dispose_staged(d: str, l: DataLinkage, rng=None) -> DataLinkage:
+def safe_dispose_staged(d: str, l: DataLinkage, rng) -> DataLinkage:
     """Safe disposal in three strict stages: first the spot-reachable
     part is kept, one move at a time; then the links to d when d turned
     out to be retained; then everything d is not involved in.  The rest
@@ -94,10 +94,10 @@ def safe_dispose_staged(d: str, l: DataLinkage, rng=None) -> DataLinkage:
             # spot links were all kept in stage one; partial links and
             # value associations stay unless they are d's own
             kept.append(link)
-    return l.with_links(kept)
+    return DataLinkage(l.universe, kept)
 
 
-def rgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
+def rgc_one_at_a_time(l: DataLinkage, rng) -> DataLinkage:
     """Reference-count collection by deleting a single zero-count-anchored
     link at a time (the shipped collector counts once and cascades)."""
     links = list(l.iter_links())
@@ -111,8 +111,8 @@ def rgc_one_at_a_time(l: DataLinkage, rng=None) -> DataLinkage:
         dead = [x for x in links
                 if x[0] != SPOT and counts.get(x[1], 0) == 0]
         if not dead:
-            return l.with_links(links)
-        victim = rng.choice(dead) if rng is not None else dead[0]
+            return DataLinkage(l.universe, links)
+        victim = rng.choice(dead)
         links.remove(victim)
 
 

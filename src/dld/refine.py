@@ -66,7 +66,8 @@ def check_commutation(st: SetState, actions) -> list:
     for act in actions:
         rewrite_state, rewrite_reply = perform_dldr(act, l)
         set_next, set_reply = perform_set_reclaim(act, st)
-        set_state = retrieve(set_next)
+        # a state the action left as it was retrieves to l
+        set_state = l if set_next is st else retrieve(set_next)
         if rewrite_state == set_state and rewrite_reply == set_reply:
             entries.append(None)
             continue
@@ -88,11 +89,11 @@ def enumerate_states(universe: Universe, tight_only: bool = False):
     for k in range(len(atoms) + 1):
         for used in combinations(atoms, k):
             spot_choices = (None,) + used
-            field_maps = list(_field_maps(universe.fields, used))
+            field_maps = [dict(fm) for fm in _field_maps(universe.fields, used)]
             for sigma_vals in product(spot_choices, repeat=len(universe.spots)):
                 sigma = dict(zip(universe.spots, sigma_vals))
                 for zeta_maps in product(field_maps, repeat=k):
-                    zeta = {a: dict(fm) for a, fm in zip(used, zeta_maps)}
+                    zeta = dict(zip(used, zeta_maps))
                     for xi_vals in product(values, repeat=k):
                         st = SetState(universe, sigma, zeta,
                                       dict(zip(used, xi_vals)))

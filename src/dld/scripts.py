@@ -12,7 +12,8 @@ One declaration per line, `#` starts a comment:
 A declaration named `main` selects the entry: when its body is a bare
 name the entry is that declaration, otherwise the body itself is run.
 Actions without a focus prefix go to the `dld` service; a trailing bare
-action is short for `action ; S`.
+action is short for `action ; S`.  A chain of `;` and `tau.` may be of
+any length; `?:` may nest as deep as the Python stack allows.
 """
 
 from __future__ import annotations
@@ -52,32 +53,40 @@ def _raw_method(cur: _Cursor) -> str:
 
 
 def _parse_proc(cur: _Cursor, universe: Universe, names):
-    kind, value, pos = cur.peek()
-    if value == "S":
-        cur.next()
-        return STOP
-    if value == "D":
-        cur.next()
-        return DEADLOCK
-    if value == "tau":
-        cur.next()
-        cur.expect(".")
-        return prefix(TAU, _parse_proc(cur, universe, names))
-    if kind == "ident" and value in names and cur.peek(1)[1] not in ("(", ".", ";", "?"):
-        cur.next()
-        return Ref(value)
-    call = _parse_call(cur, universe)
-    nxt = cur.peek()[1]
-    if nxt == ";":
-        cur.next()
-        return prefix(call, _parse_proc(cur, universe, names))
-    if nxt == "?":
-        cur.next()
-        then = _parse_proc(cur, universe, names)
-        cur.expect(":")
-        orelse = _parse_proc(cur, universe, names)
-        return Post(call, then, orelse)
-    return prefix(call, STOP)
+    """A chain of `tau.` prefixes and `;`-sequenced calls is read in a
+    loop and folded from the right, so it may be of any length; only
+    `?:` nesting recurses."""
+    chain = []
+    body = None
+    while body is None:
+        kind, value, _ = cur.peek()
+        if value in ("S", "D"):
+            cur.next()
+            body = STOP if value == "S" else DEADLOCK
+        elif value == "tau":
+            cur.next()
+            cur.expect(".")
+            chain.append(TAU)
+        elif kind == "ident" and value in names and cur.peek(1)[1] not in ("(", ".", ";", "?"):
+            cur.next()
+            body = Ref(value)
+        else:
+            call = _parse_call(cur, universe)
+            nxt = cur.peek()[1]
+            if nxt == "?":
+                cur.next()
+                then = _parse_proc(cur, universe, names)
+                cur.expect(":")
+                body = Post(call, then, _parse_proc(cur, universe, names))
+            else:
+                chain.append(call)
+                if nxt == ";":
+                    cur.next()
+                else:
+                    body = STOP
+    for action in reversed(chain):
+        body = prefix(action, body)
+    return body
 
 
 def parse_spec(text: str, universe: Universe) -> ThreadSpec:
@@ -101,7 +110,11 @@ def parse_spec(text: str, universe: Universe) -> ThreadSpec:
                 and cur.peek()[1] in names and cur.peek(1)[0] == "eof":
             main_ref = cur.next()[1]
             continue
-        thread = _parse_proc(cur, universe, names)
+        try:
+            thread = _parse_proc(cur, universe, names)
+        except RecursionError:
+            raise ParseError(f"line {lineno}: process nested too deeply",
+                             cur.peek()[2]) from None
         if not cur.at_end():
             raise ParseError(f"line {lineno}: trailing input "
                              f"{cur.peek()[1]!r}", cur.peek()[2])

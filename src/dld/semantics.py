@@ -79,7 +79,7 @@ def _apply(l: DataLinkage, drop, add) -> DataLinkage:
     kept = [x for x in l.iter_links() if x != drop]
     if add is not None:
         kept.append(add)
-    return l.with_links(kept)
+    return DataLinkage(l.universe, kept)
 
 
 def _keep(reply, row, bindings):

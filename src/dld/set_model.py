@@ -16,21 +16,22 @@ from .universe import Universe
 
 
 class SetState:
-    """Immutable map-triple state over a universe."""
+    """Map-triple state over a universe.
 
-    __slots__ = ("universe", "sigma", "zeta", "xi", "_key")
+    A state owns the maps it is given: nothing changes a state's maps
+    after construction, so a successor may share every map it does not
+    change.  sigma is made total over the universe's spots, because
+    callers pass partial spot maps; zeta, xi and the field maps are kept
+    as given."""
+
+    __slots__ = ("universe", "sigma", "zeta", "xi")
 
     def __init__(self, universe: Universe, sigma: dict, zeta: dict, xi: dict):
         self.universe = universe
-        self.sigma = {s: sigma.get(s) for s in universe.spots}
-        self.zeta = {a: dict(fm) for a, fm in zeta.items()}
-        self.xi = dict(xi)
-        self._key = (
-            tuple(self.sigma[s] for s in universe.spots),
-            tuple(sorted((a, tuple(sorted(fm.items(), key=_field_key)))
-                         for a, fm in self.zeta.items())),
-            tuple(sorted(self.xi.items())),
-        )
+        self.sigma = (sigma if sigma.keys() == universe.spot_index.keys()
+                      else {s: sigma.get(s) for s in universe.spots})
+        self.zeta = zeta
+        self.xi = xi
 
     @classmethod
     def empty(cls, universe: Universe) -> "SetState":
@@ -56,29 +57,31 @@ class SetState:
 
     def describe(self) -> str:
         """Debug rendering as three labelled blocks."""
-        spots = ", ".join(f"{s}->{v if v is not None else '_'}"
-                          for s, v in self.sigma.items())
+        def show(v):
+            return "_" if v is None else v
+
+        spots = ", ".join(f"{s}->{show(self.sigma[s])}"
+                          for s in self.universe.spots)
         zeta = "; ".join(
-            f"{a}:{{" + ", ".join(f"{f}->{v if v is not None else '_'}"
+            f"{a}:{{" + ", ".join(f"{f}->{show(v)}"
                                   for f, v in sorted(fm.items())) + "}"
             for a, fm in sorted(self.zeta.items()))
-        xi = ", ".join(f"{a}={v if v is not None else '_'}"
-                       for a, v in sorted(self.xi.items()))
+        xi = ", ".join(f"{a}={show(v)}" for a, v in sorted(self.xi.items()))
         return f"sigma {spots} / zeta {zeta} / xi {xi}"
 
     def __eq__(self, other):
-        return (isinstance(other, SetState) and self._key == other._key
+        return (isinstance(other, SetState) and self.sigma == other.sigma
+                and self.zeta == other.zeta and self.xi == other.xi
                 and self.universe == other.universe)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((frozenset(self.sigma.items()),
+                     frozenset((a, frozenset(fm.items()))
+                               for a, fm in self.zeta.items()),
+                     frozenset(self.xi.items())))
 
     def __repr__(self):
         return f"SetState({self.describe()})"
-
-
-def _field_key(item):
-    return item[0]
 
 
 def _def_spot(st: SetState, s: str) -> bool:
@@ -91,27 +94,21 @@ def _def_value(st: SetState, s: str) -> bool:
 
 
 def _set_spot(st: SetState, s: str, value) -> SetState:
-    sigma = dict(st.sigma)
-    sigma[s] = value
-    return st.replace(sigma=sigma)
+    return st.replace(sigma={**st.sigma, s: value})
 
 
 def _set_field(st: SetState, a: str, f: str, value) -> SetState:
-    zeta = {x: dict(fm) for x, fm in st.zeta.items()}
-    zeta[a][f] = value
-    return st.replace(zeta=zeta)
+    return st.replace(zeta={**st.zeta, a: {**st.zeta[a], f: value}})
 
 
 def _drop_field(st: SetState, a: str, f: str) -> SetState:
-    zeta = {x: dict(fm) for x, fm in st.zeta.items()}
-    del zeta[a][f]
-    return st.replace(zeta=zeta)
+    fm = dict(st.zeta[a])
+    del fm[f]
+    return st.replace(zeta={**st.zeta, a: fm})
 
 
 def _set_value(st: SetState, a: str, value) -> SetState:
-    xi = dict(st.xi)
-    xi[a] = value
-    return st.replace(xi=xi)
+    return st.replace(xi={**st.xi, a: value})
 
 
 # --- the basic actions -------------------------------------------------------
@@ -132,13 +129,9 @@ def perform_set(act: Act, st: SetState) -> tuple:
         fresh = st.universe.choose_fresh(st.zeta)
         if fresh is None:
             return st, False
-        sigma = dict(st.sigma)
-        sigma[args[0]] = fresh
-        zeta = {x: dict(fm) for x, fm in st.zeta.items()}
-        zeta[fresh] = {}
-        xi = dict(st.xi)
-        xi[fresh] = None
-        return st.replace(sigma=sigma, zeta=zeta, xi=xi), True
+        return st.replace(sigma={**st.sigma, args[0]: fresh},
+                          zeta={**st.zeta, fresh: {}},
+                          xi={**st.xi, fresh: None}), True
     if name == "setspot":
         return _set_spot(st, args[0], st.sigma[args[1]]), True
     if name == "clrspot":

@@ -202,6 +202,25 @@ def test_deep_terms(capsys, config):
     assert sys.getrecursionlimit() == limit
 
 
+def test_scripts_of_any_length_run(capsys, config, tmp_path):
+    limit = sys.getrecursionlimit()
+    init = tmp_path / "init.txt"
+    init.write_text("0\n")
+    spec = tmp_path / "spec.thread"
+    for body in ["; ".join(["clrspot(s)"] * 5000), "tau." * 5000 + "S"]:
+        spec.write_text(f"main = {body}\n")
+        assert main(["run", "--config", config, "--spec", str(spec),
+                     "--init", str(init), "--max-steps", "10000"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 5002 and out[-1] == "stop"
+    # `?:` nests on the stack: too deep is a parse error, not a traceback
+    spec.write_text("main = " + "clrspot(s) ? " * 5000 + "S"
+                    + " : S" * 5000 + "\n")
+    assert "nested too deeply" in _user_error(capsys, [
+        "run", "--config", config, "--spec", str(spec), "--init", str(init)])
+    assert sys.getrecursionlimit() == limit
+
+
 def test_roundtrip_all_small_linkages():
     from dld.checks import enumerate_linkages
     from dld.parsing import parse_linkage
@@ -250,6 +269,12 @@ def test_bad_check_bounds_are_user_errors(capsys):
                                       ["check", "thm2", "--modulus", "abc"])
     assert "--cases" in _user_error(capsys, ["check", "tsu", "--cases", "abc"])
     assert "--seed" in _user_error(capsys, ["check", "tsu", "--seed", "abc"])
+    # universes whose exhaustive suites could not finish
+    assert "16,777,216 states" in _user_error(capsys,
+                                              ["check", "thm2", "--atoms", "3"])
+    assert "6,000,025 states" in _user_error(capsys, [
+        "check", "thm3", "--spots", "1", "--fields", "1", "--atoms", "1",
+        "--modulus", "1000003"])
 
 
 def test_long_combine_chains_fold_in_linear_time(capsys, tmp_path):

@@ -170,7 +170,7 @@ def test_worklist_order_invariance(tiny_universe):
         for _ in range(3):
             order = list(l.iter_links())
             rng.shuffle(order)
-            shuffled = l.with_links(order)
+            shuffled = DataLinkage(l.universe, order)
             assert fgc(shuffled) == base_fgc
             assert rgc(shuffled) == base_rgc
             assert fgc_one_at_a_time(shuffled, rng) == base_fgc
@@ -207,7 +207,7 @@ def test_collectors_are_linear(spotted):
     if spotted:
         assert out["fgc"] == out["rgc"] == out["sd"] == l
     else:
-        assert out["fgc"] == out["rgc"] == l.with_links(())
+        assert out["fgc"] == out["rgc"] == DataLinkage.empty(l.universe)
         # d's value and its field links in and out go
         assert out["sd"].links == l.links - {
             valass(d, 1), flink("#4999", "nx", d), flink(d, "nx", "#5001")}

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from dld import Act, DataLinkage
-from dld.checks import enumerate_deterministic
+from dld.checks import (_state_counts, enumerate_deterministic,
+                        enumerate_linkages)
 from dld.errors import NonDeterministicState
 from dld.parsing import parse_linkage
 from dld.refine import (check_commutation, enumerate_states, represent,
@@ -111,6 +112,15 @@ def test_enumerate_states_monotone_in_bounds(tiny_universe):
         st.check_invariants()
     tight = sum(1 for _ in enumerate_states(u, tight_only=True))
     assert tight < total
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 1, 2), (2, 1, 2, 2),
+                                    (1, 1, 2, 3), (2, 2, 1, 2)])
+def test_state_counts_match_the_enumerations(bounds):
+    """The counts the exhaustive suites check against their cap."""
+    u = small_universe(*bounds)
+    assert _state_counts(u) == (sum(1 for _ in enumerate_linkages(u)),
+                                sum(1 for _ in enumerate_states(u)))
 
 
 # sha256 of the lines "<action> <state> -> <next state> <reply>" below

@@ -1,13 +1,16 @@
+import copy
+
 import pytest
 
 from dld import Act
+from dld.actions import all_actions
 from dld.errors import DldError
 from dld.oracles import cyclic_atoms, reach_inductive
 from dld.refine import enumerate_states, retrieve
 from dld.set_model import (SetState, clear_field_refs, clear_spot_refs,
                            effect_set_reclaim, incycle, is_tight, perform_set,
-                           reach_atoms, reach_from, sd_set, tighten, ud_set,
-                           yield_set_reclaim)
+                           perform_set_reclaim, reach_atoms, reach_from,
+                           sd_set, tighten, ud_set, yield_set_reclaim)
 from dld.universe import small_universe
 
 U = small_universe(2, 2, 4, 3)
@@ -50,7 +53,6 @@ def test_getatobj_set_allocates_outside_dom_zeta():
 
 def test_effect_set_preserves_invariants_exhaustively():
     u = small_universe(2, 1, 2, 2)
-    from dld.actions import all_actions
     for st in enumerate_states(u):
         for act in all_actions(u):
             effect_set_reclaim(act, st).check_invariants()
@@ -149,3 +151,27 @@ def test_describe_renders_three_blocks():
     st = S({"s": "#0"}, {"#0": {"f": None}}, {"#0": 2})
     text = st.describe()
     assert "sigma" in text and "zeta" in text and "xi" in text
+
+    # the same maps, their entries inserted in other orders
+    st = S({"s": "#0", "t": "#1"},
+           {"#0": {"f": "#1", "g": None}, "#1": {}}, {"#0": 2, "#1": None})
+    again = S({"t": "#1", "s": "#0"},
+              {"#1": {}, "#0": {"g": None, "f": "#1"}}, {"#1": None, "#0": 2})
+    assert again == st and hash(again) == hash(st)
+    assert again.describe() == st.describe()
+    assert again != st.replace(xi={"#0": 1, "#1": None})
+
+
+def test_actions_leave_their_input_state_unchanged():
+    """Successors share the maps they do not change, so no action may
+    change its input's maps, non-tight states included."""
+    u = small_universe(2, 1, 2, 2)
+    actions = all_actions(u)
+    for st in enumerate_states(u):
+        before = copy.deepcopy((st.sigma, st.zeta, st.xi))
+        for act in actions:
+            perform_set_reclaim(act, st)
+            assert (st.sigma, st.zeta, st.xi) == before, act
+    st = S({"s": "#0"}, {"#0": {}})
+    out, _ = perform_set(A("clrspot", "s"), st)
+    assert out.zeta is st.zeta and out.xi is st.xi
