@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 
 from .actions import Act, all_basic_actions, all_reclaim_actions
 from .errors import DldError
 from .linkage import (DataLinkage, TCombine, TEmpty, TLit, TOverride, flink,
-                      normalize, pflink, slink, valass)
+                      link_at, link_count, normalize, pflink, slink, valass)
 from .oracles import fgc_one_at_a_time, normalize_by_axioms, rgc_one_at_a_time
 from .reclaim import fgc, perform_dldr, rgc
 from .refine import check_commutation, enumerate_states
@@ -55,41 +54,12 @@ class Summary:
 
 # --- state and term generators ------------------------------------------------
 
-def all_links(u: Universe) -> list:
-    links = []
-    for s in u.spots:
-        for a in u.atoms:
-            links.append(slink(s, a))
-    for a in u.atoms:
-        for f in u.fields:
-            links.append(pflink(a, f))
-    for a in u.atoms:
-        for f in u.fields:
-            for b in u.atoms:
-                links.append(flink(a, f, b))
-    for a in u.atoms:
-        for n in range(u.modulus):
-            links.append(valass(a, n))
-    return links
-
-
 def enumerate_linkages(u: Universe):
     """Every canonical state over the universe (all subsets of links)."""
-    links = all_links(u)
+    links = [link_at(u, i) for i in range(link_count(u))]
     n = len(links)
     for mask in range(1 << n):
         yield DataLinkage(u, [links[i] for i in range(n) if mask >> i & 1])
-
-
-def enumerate_deterministic(u: Universe):
-    """Every deterministic state, built position by position."""
-    spot_choices = [[None] + [slink(s, a) for a in u.atoms] for s in u.spots]
-    field_choices = [[None, pflink(a, f)] + [flink(a, f, b) for b in u.atoms]
-                     for a in u.atoms for f in u.fields]
-    value_choices = [[None] + [valass(a, n) for n in range(u.modulus)]
-                     for a in u.atoms]
-    for picks in product(*(spot_choices + field_choices + value_choices)):
-        yield DataLinkage(u, [x for x in picks if x is not None])
 
 
 # the most states an exhaustive suite builds: each takes about a
@@ -112,8 +82,7 @@ def _state_counts(u: Universe) -> tuple:
     enumerate_states build over u, counted without building them; a
     count that reaches _COUNT_LIMIT stops there."""
     s, f, n, m = len(u.spots), len(u.fields), len(u.atoms), u.modulus
-    links = s * n + n * f * (1 + n) + n * m
-    linkages = 2 ** min(links, 64)
+    linkages = 2 ** min(link_count(u), 64)
     # per set of k in-use atoms: each spot undefined or on one of them,
     # each (atom, field) entry absent, partial or on one, each value
     # absent or one of the modulus
@@ -130,34 +99,31 @@ def _state_counts(u: Universe) -> tuple:
 _RANDOM_LINKS = 5
 
 
-def random_linkage(rng: random.Random, u: Universe, pool: list) -> DataLinkage:
-    """Up to _RANDOM_LINKS links drawn from pool, `all_links(u)`."""
-    return DataLinkage(u, rng.sample(pool, rng.randint(0, min(_RANDOM_LINKS, len(pool)))))
+def random_linkage(rng: random.Random, u: Universe) -> DataLinkage:
+    """Up to _RANDOM_LINKS distinct links of the universe."""
+    count = link_count(u)
+    picks = rng.sample(range(count), rng.randint(0, min(_RANDOM_LINKS, count)))
+    return DataLinkage(u, [link_at(u, i) for i in picks])
 
 
-def random_term(rng: random.Random, u: Universe, pool: list, depth: int):
+def random_term(rng: random.Random, u: Universe, depth: int):
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.15:
             return TEmpty()
-        return TLit(random_linkage(rng, u, pool))
+        return TLit(random_linkage(rng, u))
     kind = TCombine if rng.random() < 0.5 else TOverride
-    return kind(random_term(rng, u, pool, depth - 1),
-                random_term(rng, u, pool, depth - 1))
+    return kind(random_term(rng, u, depth - 1), random_term(rng, u, depth - 1))
 
 
 # --- axiom suite ---------------------------------------------------------------
 
-def _distinct(rng, pool, k):
-    return rng.sample(list(pool), k)
-
-
-def _axiom_cases(rng: random.Random, u: Universe, pool: list):
+def _axiom_cases(rng: random.Random, u: Universe):
     """One random closed instantiation of every combination and override
     axiom; yields (name, lhs term, rhs term)."""
-    X = random_term(rng, u, pool, 3)
-    Y = random_term(rng, u, pool, 3)
-    Z = random_term(rng, u, pool, 3)
-    s, t = _distinct(rng, u.spots, 2) if len(u.spots) > 1 else (u.spots[0],) * 2
+    X = random_term(rng, u, 3)
+    Y = random_term(rng, u, 3)
+    Z = random_term(rng, u, 3)
+    s, t = rng.sample(u.spots, 2) if len(u.spots) > 1 else (u.spots[0],) * 2
     a = rng.choice(u.atoms)
     b = rng.choice(u.atoms)
     c = rng.choice(u.atoms)
@@ -198,16 +164,15 @@ def _axiom_cases(rng: random.Random, u: Universe, pool: list):
                 TOverride(TCombine(X, lit(u1)), lit(u2)),
                 TCombine(TOverride(X, lit(u2)), lit(u1)))
 
-    a2, b2 = (_distinct(rng, u.atoms, 2) if len(u.atoms) > 1
+    a2, b2 = (rng.sample(u.atoms, 2) if len(u.atoms) > 1
               else (u.atoms[0],) * 2)
     fg_a, fg_b = a, b
     fg_f, fg_g = f, g
     if fg_a == fg_b and fg_f == fg_g:
         if len(u.atoms) > 1:
-            fg_a, fg_b = _distinct(rng, u.atoms, 2)
+            fg_a, fg_b = rng.sample(u.atoms, 2)
         elif len(u.fields) > 1:
-            fg_f, fg_g = _distinct(rng, u.fields, 2)
-    n2, m2 = n, m
+            fg_f, fg_g = rng.sample(u.fields, 2)
 
     cases = [
         commute("commute-s-s", slink(s, a), slink(t, b), s != t),
@@ -229,7 +194,7 @@ def _axiom_cases(rng: random.Random, u: Universe, pool: list):
         commute("commute-s-va", slink(s, a), valass(b, n)),
         commute("commute-pf-va", pflink(a, f), valass(b, n)),
         commute("commute-fl-va", flink(a, f, b), valass(c, n)),
-        commute("commute-va-va", valass(a2, n2), valass(b2, m2), a2 != b2),
+        commute("commute-va-va", valass(a2, n), valass(b2, m), a2 != b2),
     ]
     for case in cases:
         if case is not None:
@@ -241,9 +206,8 @@ def suite_axioms(u: Universe | None = None, cases: int = 100,
     u = u or default_universe("axioms")
     rng = random.Random(seed)
     summary = Summary("axioms")
-    pool = all_links(u)
     for _ in range(cases):
-        for name, lhs, rhs in _axiom_cases(rng, u, pool):
+        for name, lhs, rhs in _axiom_cases(rng, u):
             left = normalize(lhs, u)
             right = normalize(rhs, u)
             if left == right:
@@ -268,9 +232,8 @@ def suite_thm1(u: Universe | None = None, cases: int = 1000,
     rng = random.Random(seed)
     summary = Summary("thm1")
     sampled = set(rng.sample(range(cases), min(_THM1_ORACLE_SAMPLES, cases)))
-    pool = all_links(u)
     for i in range(cases):
-        term = random_term(rng, u, pool, _THM1_DEPTH)
+        term = random_term(rng, u, _THM1_DEPTH)
         nf = normalize(term, u)
         ok = normalize(TCombine(term, term), u) == nf
         ok = ok and normalize(TCombine(TLit(nf), TLit(nf)), u) == nf
@@ -311,7 +274,7 @@ def suite_thm2(u: Universe | None = None, seed: int = 0) -> Summary:
     states = list(enumerate_linkages(u))
     _check_shuffles(summary, rng, states, basic, basic_outcomes,
                     _THM2_SHUFFLES)
-    det = list(enumerate_deterministic(u))
+    det = [l for l in states if l.is_deterministic()]
     nondet = [l for l in rng.sample(states, min(_THM2_NONDET_SAMPLES,
                                                 len(states)))
               if not l.is_deterministic()]

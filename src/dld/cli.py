@@ -29,14 +29,7 @@ from .parsing import parse_action_list, parse_linkage, parse_term
 from .reclaim import perform_dldr
 from .scripts import parse_spec
 from .threads import DldService, run
-from .universe import _FIELD_POOL, _SPOT_POOL, Universe, small_universe
-
-
-def _parse_names(value: str) -> tuple:
-    value = value.strip()
-    if value.isdigit():
-        return int(value)
-    return tuple(x.strip() for x in value.split(",") if x.strip())
+from .universe import Universe, generated_names, small_universe
 
 
 def _read_text(path: str) -> str:
@@ -88,23 +81,16 @@ def build_universe(config: dict, args) -> Universe:
         raise DldError("universe not fully declared: need spots, fields, "
                        "atoms and modulus (config file or flags)")
 
-    def names(value, pool, label):
-        if isinstance(value, int) or (isinstance(value, str) and value.isdigit()):
-            count = int(value)
-            if label == "atoms":
-                return tuple(f"#{i}" for i in range(count))
-            if count > len(pool):
-                raise DldError(f"too many generated {label}; list names instead")
-            return pool[:count]
-        parsed = _parse_names(value)
-        if isinstance(parsed, int):
-            raise DldError(f"bad {label} declaration: {value!r}")
-        return parsed
+    def names(value, kind):
+        value = value.strip()
+        if value.isdecimal():
+            return generated_names(kind, int(value))
+        return tuple(x.strip() for x in value.split(",") if x.strip())
 
     return Universe(
-        spots=names(spots, _SPOT_POOL, "spots"),
-        fields=names(fields, _FIELD_POOL, "fields"),
-        atoms=names(atoms, (), "atoms"),
+        spots=names(spots, "spots"),
+        fields=names(fields, "fields"),
+        atoms=names(atoms, "atoms"),
         modulus=_integer(modulus, "modulus"),
     )
 

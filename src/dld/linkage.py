@@ -9,6 +9,10 @@ rendering order):
     (FLD,   a, f, b)   link from atom a via field f to b  "a.f:b"
     (VAL,   a, n)      value n associated with atom a     "a=n"
 
+A universe's links are numbered arithmetically in canonical order, by
+tag and then by names in declaration order: `link_index` numbers a link
+and `link_at` decodes a number, so no table of links is built.
+
 A state is a DataLinkage: a set of such links over a fixed universe.
 Combination is union; overriding combination replaces same-keyed links.
 """
@@ -77,18 +81,46 @@ def render_link(link: Link) -> str:
     return f"{link[1]}={link[2]}"
 
 
-def sort_key(u: Universe, link: Link) -> tuple:
-    """A link's canonical position: its tag, then its names in the
-    universe's declaration order."""
-    tag = link[0]
+def link_count(u: Universe) -> int:
+    """How many atomic links the universe admits."""
+    n = len(u.atoms)
+    return n * (len(u.spots) + len(u.fields) * (1 + n) + u.modulus)
+
+
+def link_index(u: Universe, link: Link) -> int:
+    """A link's canonical position among the universe's links: its tag,
+    then its names in declaration order.  A value link's value must be
+    reduced mod the modulus, as every builder of value links leaves it."""
+    tag, n = link[0], len(u.atoms)
     if tag == SPOT:
-        return (SPOT, u.spot_index[link[1]], u.atom_index[link[2]])
+        return u.spot_index[link[1]] * n + u.atom_index[link[2]]
+    base, a = len(u.spots) * n, u.atom_index[link[1]]
+    if tag == VAL:
+        return base + n * len(u.fields) * (1 + n) + a * u.modulus + link[2]
+    pos = a * len(u.fields) + u.field_index[link[2]]
     if tag == PFLD:
-        return (PFLD, u.atom_index[link[1]], u.field_index[link[2]])
-    if tag == FLD:
-        return (FLD, u.atom_index[link[1]], u.field_index[link[2]],
-                u.atom_index[link[3]])
-    return (VAL, u.atom_index[link[1]], link[2])
+        return base + pos
+    return base + n * len(u.fields) + pos * n + u.atom_index[link[3]]
+
+
+def link_at(u: Universe, i: int) -> Link:
+    """The link at canonical position i: `link_index`'s inverse."""
+    if not 0 <= i < link_count(u):
+        raise IndexError(f"no link at {i}")
+    atoms, fields, n = u.atoms, u.fields, len(u.atoms)
+    nf = n * len(fields)
+    if i < len(u.spots) * n:
+        return slink(u.spots[i // n], atoms[i % n])
+    i -= len(u.spots) * n
+    if i >= nf * (1 + n):
+        a, v = divmod(i - nf * (1 + n), u.modulus)
+        return valass(atoms[a], v)
+    if i < nf:
+        a, f = divmod(i, len(fields))
+        return pflink(atoms[a], fields[f])
+    pos, b = divmod(i - nf, n)
+    a, f = divmod(pos, len(fields))
+    return flink(atoms[a], fields[f], atoms[b])
 
 
 class DataLinkage:
@@ -115,7 +147,7 @@ class DataLinkage:
         return self._order
 
     def canonical(self) -> tuple:
-        return tuple(sorted(self.links, key=partial(sort_key, self.universe)))
+        return tuple(sorted(self.links, key=partial(link_index, self.universe)))
 
     def canonical_text(self) -> str:
         if not self.links:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .actions import Act
 from .linkage import FLD, SPOT, DataLinkage, link_atoms, pflink
-from .semantics import GUARDS, Scan, _spot_def, perform
+from .semantics import GUARDS, Scan, _changed, _spot_def, perform
 from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
 
 
@@ -96,18 +96,6 @@ def clear_changes(d: str, links) -> list:
     return out
 
 
-def _changed(l: DataLinkage, changes) -> DataLinkage:
-    """l with each change's first link dropped and its second added."""
-    if not changes:
-        return l
-    links = dict.fromkeys(l.iter_links())
-    for drop, add in changes:
-        links.pop(drop, None)
-        if add is not None:
-            links[add] = None
-    return DataLinkage(l.universe, links)
-
-
 def _in_place(heap, changes):
     for drop, add in changes:
         heap.apply(drop, add)
@@ -152,8 +140,7 @@ def _reclaim(act: Act, state, scan, change):
     if d is not None and basic.name in ("setfield", "clrfield"):
         targets = scan.fl.get((d, basic.args[1]))
         d = targets[0] if targets else None
-    if drop is not None or add is not None:
-        state = change(state, [(drop, add)])
+    state = change(state, [(drop, add)])
     if d is not None:
         if act.name.startswith("ud"):
             state = change(state, clear_changes(d, state.links))

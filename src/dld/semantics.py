@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .actions import Act
-from .linkage import (FLD, PFLD, SPOT, DataLinkage, flink, link_atoms, pflink,
-                      render_link, slink, sort_key, valass)
+from .linkage import (FLD, PFLD, SPOT, DataLinkage, flink, link_atoms,
+                      link_index, pflink, render_link, slink, valass)
 from .meadow import Meadow
 
 
@@ -72,14 +72,19 @@ class RuleFire:
     bindings: dict = field(default_factory=dict, compare=False)
 
 
-def _apply(l: DataLinkage, drop, add) -> DataLinkage:
-    """The state with one link dropped and one added (None: no link)."""
-    if drop is None and add is None:
-        return l
-    kept = [x for x in l.iter_links() if x != drop]
-    if add is not None:
-        kept.append(add)
-    return DataLinkage(l.universe, kept)
+def _changed(l: DataLinkage, changes) -> DataLinkage:
+    """l with each change's first link dropped and its second added
+    (None: no link); l itself when no change names a link."""
+    links = None
+    for drop, add in changes:
+        if drop is None and add is None:
+            continue
+        if links is None:
+            links = dict.fromkeys(l.iter_links())
+        links.pop(drop, None)
+        if add is not None:
+            links[add] = None
+    return l if links is None else DataLinkage(l.universe, links)
 
 
 def _keep(reply, row, bindings):
@@ -409,7 +414,7 @@ def guard(act: Act, l: DataLinkage, scan: Scan | None = None) -> tuple:
 def perform(act: Act, l: DataLinkage, scan: Scan | None = None):
     """(next state, reply) of a basic action."""
     reply, _, _, _, drop, add = guard(act, l, scan)
-    return _apply(l, drop, add), reply
+    return _changed(l, ((drop, add),)), reply
 
 
 def effect(act: Act, l: DataLinkage) -> DataLinkage:
@@ -423,7 +428,7 @@ def yield_(act: Act, l: DataLinkage) -> bool:
 def evaluate(act: Act, l: DataLinkage):
     """(next state, reply, effect RuleFire, yield RuleFire) in one pass."""
     reply, erow, yrow, bindings, drop, add = guard(act, l)
-    return (_apply(l, drop, add), reply,
+    return (_changed(l, ((drop, add),)), reply,
             RuleFire(act, f"eff.{act.name}.{erow}", int(erow[1]), bindings),
             RuleFire(act, f"yld.{act.name}.{yrow}", int(yrow[1]), {**bindings}))
 
@@ -437,10 +442,10 @@ class Heap(Scan):
     per-atom occurrence count that serves as `atoms`, and a min-heap of
     the indexes of atoms that may be free, for `fresh`.  `apply` drops
     and adds one link each.  From the first `render` on it also keeps
-    the links' sort keys and texts in canonical order, updated by
-    bisection, so a render is one join.  The indexes equal those of
-    `Scan(self.linkage())` after every update; run mode holds only
-    deterministic states, where every index list has one entry.
+    the links' `link_index` numbers and texts in canonical order,
+    updated by bisection, so a render is one join.  The indexes equal
+    those of `Scan(self.linkage())` after every update; run mode holds
+    only deterministic states, where every index list has one entry.
     """
 
     __slots__ = ("universe", "links", "_free", "_keys", "_texts")
@@ -473,19 +478,19 @@ class Heap(Scan):
         return reply
 
     def apply(self, drop, add):
-        """Drop one link and add one (None: no link), as `_apply` does."""
+        """Drop one link and add one (None: no link), as `_changed` does."""
         links, keys = self.links, self._keys
         if drop is not None and drop in links:
             del links[drop]
             self._index(drop, -1)
             if keys is not None:
-                i = bisect_left(keys, sort_key(self.universe, drop))
+                i = bisect_left(keys, link_index(self.universe, drop))
                 del keys[i], self._texts[i]
         if add is not None and add not in links:
             links[add] = None
             self._index(add, 1)
             if keys is not None:
-                key = sort_key(self.universe, add)
+                key = link_index(self.universe, add)
                 i = bisect_left(keys, key)
                 keys.insert(i, key)
                 self._texts.insert(i, render_link(add))
@@ -519,7 +524,7 @@ class Heap(Scan):
         """Byte for byte `self.linkage().canonical_text()`."""
         if self._keys is None:
             u = self.universe
-            order = sorted((sort_key(u, x), render_link(x))
+            order = sorted((link_index(u, x), render_link(x))
                            for x in self.links)
             self._keys = [key for key, _ in order]
             self._texts = [text for _, text in order]

@@ -51,6 +51,13 @@ def test_config_atom_names_start_with_hash(capsys, tmp_path, atoms):
     assert "#2" in capsys.readouterr().err
 
 
+def test_count_flags_may_be_padded(capsys):
+    # a count with blanks around it generates names, as in a config file
+    assert main(["normalize", "--spots", " 2", "--fields", "1", "--atoms", "1",
+                 "--modulus", "2", "t:#0"]) == 0
+    assert capsys.readouterr().out == "t:#0\n"
+
+
 def test_parse_error_reported(capsys, config):
     assert main(["normalize", "--config", config, "{s:#0"]) == 1
     assert "error:" in capsys.readouterr().err

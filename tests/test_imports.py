@@ -52,3 +52,34 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree) -> set:
+    """The `_`-prefixed functions, classes and methods a module defines;
+    dunder methods are called by Python itself and left out."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _references(tree) -> set:
+    """Every name a module reads, by name, attribute or import."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(dld.__file__).parent.glob("*.py")}
+    referenced = set().union(*map(_references, trees.values()))
+    dead = {name: sorted(_private_definitions(tree) - referenced)
+            for name, tree in trees.items()}
+    assert not {name: d for name, d in dead.items() if d}, dead

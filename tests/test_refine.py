@@ -4,8 +4,7 @@ import re
 import pytest
 
 from dld import Act, DataLinkage
-from dld.checks import (_state_counts, enumerate_deterministic,
-                        enumerate_linkages)
+from dld.checks import _state_counts, enumerate_linkages
 from dld.errors import NonDeterministicState
 from dld.parsing import parse_linkage
 from dld.refine import (check_commutation, enumerate_states, represent,
@@ -37,7 +36,9 @@ def test_represent_examples(demo_universe, L):
 
 
 def test_represent_roundtrip_and_tight(tiny_universe):
-    for l in enumerate_deterministic(tiny_universe):
+    for l in enumerate_linkages(tiny_universe):
+        if not l.is_deterministic():
+            continue
         st = represent(l)
         assert retrieve(st) == l
         assert is_tight(st)
@@ -49,7 +50,8 @@ def test_tight_states_are_the_deterministic_linkages(tiny_universe):
     # times action instances, which holds because of this
     tight = [retrieve(st)
              for st in enumerate_states(tiny_universe, tight_only=True)]
-    deterministic = set(enumerate_deterministic(tiny_universe))
+    deterministic = {l for l in enumerate_linkages(tiny_universe)
+                     if l.is_deterministic()}
     assert len(tight) == len(set(tight)) == len(deterministic) == 1296
     assert set(tight) == deterministic
 

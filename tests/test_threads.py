@@ -5,7 +5,7 @@ import pytest
 
 from dld import Act, DataLinkage
 from dld.actions import all_actions, all_reclaim_actions
-from dld.checks import enumerate_deterministic, random_service
+from dld.checks import enumerate_linkages, random_service
 from dld.errors import BudgetExhausted, DldError, NonDeterministicState, UnknownFocus
 from dld.linkage import flink, pflink, slink, valass
 from dld.parsing import parse_linkage
@@ -103,7 +103,6 @@ def test_afgc_matches_manual_composition(tiny_universe):
     from dld.semantics import perform
     u = tiny_universe
     rng = random.Random(4)
-    from dld.checks import enumerate_linkages
     states = [l for l in enumerate_linkages(u) if l.is_deterministic()]
     for l in rng.sample(states, 100):
         act = A("getatobj", "s")
@@ -340,7 +339,8 @@ def test_machine_matches_the_service_on_every_deterministic_state():
     differs = {"plain": set(all_reclaim_actions(u)),
                "afgc": {a for a in acts if a.name == "getatobj"}}
     steps = 0
-    for i, l in enumerate(enumerate_deterministic(u)):
+    det = [l for l in enumerate_linkages(u) if l.is_deterministic()]
+    for i, l in enumerate(det):
         for variant in DldService.VARIANTS:
             svc = DldService(l, variant)
             for act in acts:
