@@ -15,13 +15,14 @@ from .errors import (BudgetExhausted, DldError, NonDeterministicState,
 from .linkage import DataLinkage, flink, normalize, pflink, slink, valass
 from .meadow import Meadow
 from .parsing import parse_action, parse_action_list, parse_linkage, parse_term
-from .reclaim import (clear_refs, effect_dldr, fgc, perform_dldr, rgc,
-                      safe_dispose, yield_dldr)
+from .reclaim import (clear_refs, effect_dldr, fgc, perform_dldr,
+                      perform_each, rgc, safe_dispose, yield_dldr)
 from .refine import check_commutation, enumerate_states, represent, retrieve
 from .semantics import RuleFire, effect, evaluate, perform, yield_
 from .set_model import (SetState, effect_set_reclaim, incycle, is_tight,
-                        perform_set, perform_set_reclaim, reach_atoms,
-                        reach_from, sd_set, tighten, ud_set, yield_set_reclaim)
+                        perform_set, perform_set_each, perform_set_reclaim,
+                        reach_atoms, reach_from, sd_set, tighten, ud_set,
+                        yield_set_reclaim)
 from .threads import (BLOCKED, DEADLOCK, STOP, TAU, Call, DldMachine,
                       DldService, Post, Ref, Run, Service, ThreadSpec, run,
                       step_thread, use)

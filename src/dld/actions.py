@@ -8,6 +8,7 @@ Parameters are spot or field names, by position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .universe import Universe
@@ -74,9 +75,10 @@ class Act:
     def is_basic(self) -> bool:
         return self.name in BASIC_SIGNATURES
 
-    @property
+    @cached_property
     def underlying(self) -> "Act":
-        """The basic action of a disposal variant, on the same arguments."""
+        """The basic action of a disposal variant, on the same arguments;
+        made once per Act."""
         return Act(UNDERLYING[self.name], self.args)
 
     def text(self) -> str:

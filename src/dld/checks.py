@@ -8,6 +8,7 @@ are collected up to a cap.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .actions import Act, all_basic_actions, all_reclaim_actions
@@ -15,9 +16,8 @@ from .errors import DldError
 from .linkage import (DataLinkage, TCombine, TEmpty, TLit, TOverride, flink,
                       link_at, link_count, normalize, pflink, slink, valass)
 from .oracles import fgc_one_at_a_time, normalize_by_axioms, rgc_one_at_a_time
-from .reclaim import fgc, perform_dldr, rgc
+from .reclaim import fgc, perform_each, rgc
 from .refine import check_commutation, enumerate_states
-from .semantics import Scan, perform
 from .threads import BLOCKED, DEADLOCK, STOP, TAU, Call, Post, Service, use
 from .universe import Universe, small_universe
 
@@ -102,7 +102,16 @@ _RANDOM_LINKS = 5
 def random_linkage(rng: random.Random, u: Universe) -> DataLinkage:
     """Up to _RANDOM_LINKS distinct links of the universe."""
     count = link_count(u)
-    picks = rng.sample(range(count), rng.randint(0, min(_RANDOM_LINKS, count)))
+    k = rng.randint(0, min(_RANDOM_LINKS, count))
+    if count <= sys.maxsize:
+        picks = rng.sample(range(count), k)
+    else:
+        # sample takes the length of its range, which must fit a C ssize_t
+        picks = []
+        while len(picks) < k:
+            i = rng.randrange(count)
+            if i not in picks:
+                picks.append(i)
     return DataLinkage(u, [link_at(u, i) for i in picks])
 
 
@@ -266,20 +275,15 @@ def suite_thm2(u: Universe | None = None, seed: int = 0) -> Summary:
     summary = Summary("thm2")
     basic = all_basic_actions(u)
     reclaim = all_reclaim_actions(u)
-
-    def basic_outcomes(l):
-        scan = Scan(l)
-        return [perform(a, l, scan) for a in basic]
-
     states = list(enumerate_linkages(u))
-    _check_shuffles(summary, rng, states, basic, basic_outcomes,
-                    _THM2_SHUFFLES)
+    _check_shuffles(summary, rng, states, basic,
+                    lambda l: perform_each(basic, l), _THM2_SHUFFLES)
     det = [l for l in states if l.is_deterministic()]
     nondet = [l for l in rng.sample(states, min(_THM2_NONDET_SAMPLES,
                                                 len(states)))
               if not l.is_deterministic()]
     _check_shuffles(summary, rng, det + nondet, reclaim,
-                    lambda l: [perform_dldr(a, l) for a in reclaim],
+                    lambda l: perform_each(reclaim, l),
                     _THM2_RECLAIM_SHUFFLES)
     return summary
 

@@ -198,9 +198,12 @@ class DataLinkage:
         return len(self.links)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, DataLinkage)
                 and self.links == other.links
-                and self.universe == other.universe)
+                and (self.universe is other.universe
+                     or self.universe == other.universe))
 
     def __hash__(self) -> int:
         return hash(self.links)

@@ -7,20 +7,21 @@ a DataLinkage, run mode to a `Heap` in place.  Each is linear in the
 links; `oracles` keeps the paper's one-link-at-a-time readings, and the
 tests and the gc-cross suite check the collectors against them.
 
-`reclaim_in_place` performs a reclamation action on a Heap and
-`perform_dldr` any action on a DataLinkage, through one sequence of
-stages.  A safe (sd) or unsafe (ud) disposal variant evaluates its basic
-action's guard once and replies as it.  A priority-1 row leaves the
-state unchanged, which shields disposal from non-deterministic operands;
-otherwise the displaced atom is disposed of, after ud clears every other
-reference to it.
+`reclaim_in_place` performs a reclamation action on a Heap, and
+`perform_each` a list of actions on one DataLinkage, through the same
+stages; `perform_dldr` is its one-action projection.  A safe (sd) or
+unsafe (ud) disposal variant evaluates its basic action's guard once and
+replies as it.  A priority-1 row leaves the state unchanged, which
+shields disposal from non-deterministic operands; otherwise the
+displaced atom is disposed of, after ud clears every other reference to
+it.
 """
 
 from __future__ import annotations
 
-from .actions import Act
+from .actions import UNDERLYING, Act
 from .linkage import FLD, SPOT, DataLinkage, link_atoms, pflink
-from .semantics import GUARDS, Scan, _changed, _spot_def, perform
+from .semantics import GUARDS, Scan, _changed, _spot_def
 from .semantics import effect, yield_  # noqa: F401  (timed by perfbench)
 
 
@@ -120,45 +121,91 @@ def clear_refs(d: str, l: DataLinkage) -> DataLinkage:
 
 # --- dispatch for the extended action set -----------------------------------
 
-def _reclaim(act: Act, state, scan, change):
-    """(state after, reply) of a reclamation action on a DataLinkage or a
-    Heap; `change(state, changes)` makes the changes, and `scan` indexes
-    the state before the action, for the disposal variants only."""
-    if act.name == "fgc":
-        return change(state, fgc_changes(state.links)), True
-    if act.name == "rgc":
-        return change(state, rgc_changes(state.links)), True
-    basic = act.underlying
-    reply, erow, _, _, drop, add = GUARDS[basic.name](state.universe, scan,
-                                                      *basic.args)
-    if erow[1] == "1":
-        return state, reply
-    # the displaced atom: the old content of the first spot or, for
-    # setfield/clrfield, of its field; both unique once no shield fired,
-    # and read before the state (which may be the scan) changes
+_COLLECTORS = frozenset(("fgc", "rgc"))
+# the basic actions that have disposal variants
+_DISPOSING = frozenset(UNDERLYING.values())
+
+
+def _displaced(basic: Act, scan):
+    """The atom a disposal variant disposes of, read off the scan of the
+    state before its basic action: the old content of the first spot or,
+    for setfield/clrfield, of its field; both unique once no shield
+    fired.  None when there is none."""
     d = _spot_def(scan, basic.args[0])
     if d is not None and basic.name in ("setfield", "clrfield"):
         targets = scan.fl.get((d, basic.args[1]))
         d = targets[0] if targets else None
-    state = change(state, [(drop, add)])
-    if d is not None:
-        if act.name.startswith("ud"):
-            state = change(state, clear_changes(d, state.links))
-        state = change(state, dispose_changes(d, state.links))
-    return state, reply
+    return d
+
+
+def _dispose(act: Act, d, state, change):
+    """The state after a disposal variant disposes of d, given the state
+    its basic action left; ud clears every other reference to d first."""
+    if d is None:
+        return state
+    if act.name.startswith("ud"):
+        state = change(state, clear_changes(d, state.links))
+    return change(state, dispose_changes(d, state.links))
+
+
+def _collect(name: str, links) -> list:
+    return fgc_changes(links) if name == "fgc" else rgc_changes(links)
 
 
 def reclaim_in_place(act: Act, heap) -> bool:
-    """The reply of a reclamation action on a Heap, changed in place."""
-    return _reclaim(act, heap, heap, _in_place)[1]
+    """The reply of a reclamation action on a Heap, changed in place.  A
+    priority-1 row of a variant's basic action leaves the heap as it is;
+    the displaced atom is read before the heap changes."""
+    if act.name in _COLLECTORS:
+        _in_place(heap, _collect(act.name, heap.links))
+        return True
+    basic = act.underlying
+    reply, erow, _, _, drop, add = GUARDS[basic.name](heap.universe, heap,
+                                                      *basic.args)
+    if erow[1] != "1":
+        d = _displaced(basic, heap)
+        heap.apply(drop, add)
+        _dispose(act, d, heap, _in_place)
+    return reply
+
+
+def perform_each(actions, l: DataLinkage) -> list:
+    """(next state, reply) of each action on l, in order.  One Scan of l
+    serves every action, built only when one needs it, and each basic
+    action that has disposal variants is evaluated at most once: the
+    variants and the basic action share one guard call and one next
+    state, whichever of them comes first in the list."""
+    scan = None
+    shared: dict = {}  # (name, args) -> (reply, shielded, next state)
+    out = []
+    for act in actions:
+        name = act.name
+        if name in _COLLECTORS:
+            out.append((_changed(l, _collect(name, l.links)), True))
+            continue
+        basic = act.underlying if name in UNDERLYING else act
+        key = (basic.name, basic.args) if basic.name in _DISPOSING else None
+        done = None if key is None else shared.get(key)
+        if done is None:
+            if scan is None:
+                scan = Scan(l)
+            reply, erow, _, _, drop, add = GUARDS[basic.name](
+                l.universe, scan, *basic.args)
+            shielded = erow[1] == "1"
+            after = _changed(l, ((drop, add),))
+            if key is not None:
+                shared[key] = reply, shielded, after
+        else:
+            reply, shielded, after = done
+        if act is not basic and not shielded:
+            after = _dispose(act, _displaced(basic, scan), after, _changed)
+        out.append((after, reply))
+    return out
 
 
 def perform_dldr(act: Act, l: DataLinkage):
     """(next state, reply) of any action, basic or reclamation."""
-    if act.is_basic:
-        return perform(act, l)
-    scan = None if act.name in ("fgc", "rgc") else Scan(l)
-    return _reclaim(act, l, scan, _changed)
+    return perform_each((act,), l)[0]
 
 
 def effect_dldr(act: Act, l: DataLinkage) -> DataLinkage:

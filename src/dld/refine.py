@@ -9,9 +9,9 @@ from itertools import combinations, product
 
 from .errors import NonDeterministicState
 from .linkage import FLD, PFLD, SPOT, DataLinkage, flink, pflink, slink, valass
-from .reclaim import perform_dldr
+from .reclaim import perform_each
 from .reclaim import effect_dldr, yield_dldr  # noqa: F401  (timed by perfbench)
-from .set_model import SetState, is_tight, perform_set_reclaim
+from .set_model import SetState, is_tight, perform_set_each
 from .set_model import effect_set_reclaim, yield_set_reclaim  # noqa: F401  (timed by perfbench)
 from .universe import Universe
 
@@ -20,6 +20,11 @@ def retrieve(st: SetState) -> DataLinkage:
     """The deterministic linkage a map triple stands for: spot links for
     defined spots, partial/full field links per the field maps, value
     associations for defined values."""
+    return DataLinkage(st.universe, _retrieved_links(st))
+
+
+def _retrieved_links(st: SetState) -> list:
+    """retrieve(st)'s links, each once."""
     links = []
     for s in st.universe.spots:
         a = st.sigma[s]
@@ -31,7 +36,7 @@ def retrieve(st: SetState) -> DataLinkage:
     for a, v in st.xi.items():
         if v is not None:
             links.append(valass(a, v))
-    return DataLinkage(st.universe, links)
+    return links
 
 
 def represent(l: DataLinkage) -> SetState:
@@ -60,17 +65,20 @@ def check_commutation(st: SetState, actions) -> list:
     action, in order: None when both the resulting state (as a canonical
     linkage) and the reply agree, else the failure line
     `<action> <retrieved st> rewrite=<state>/<T|F> set=<state>/<T|F>
-    tight=<true|false>`."""
+    tight=<true|false>`.  Each side evaluates every action on one state;
+    st is retrieved once, and a set successor's links are compared as a
+    set, made a linkage only for a failure line."""
     l = retrieve(st)
     entries = []
-    for act in actions:
-        rewrite_state, rewrite_reply = perform_dldr(act, l)
-        set_next, set_reply = perform_set_reclaim(act, st)
+    for act, (rewrite_state, rewrite_reply), (set_next, set_reply) in zip(
+            actions, perform_each(actions, l), perform_set_each(actions, st)):
         # a state the action left as it was retrieves to l
-        set_state = l if set_next is st else retrieve(set_next)
-        if rewrite_state == set_state and rewrite_reply == set_reply:
+        set_links = (l.links if set_next is st
+                     else frozenset(_retrieved_links(set_next)))
+        if rewrite_reply == set_reply and rewrite_state.links == set_links:
             entries.append(None)
             continue
+        set_state = DataLinkage(l.universe, set_links)
         entries.append(f"{act} {l.canonical_text()}"
                        f" rewrite={rewrite_state.canonical_text()}"
                        f"/{'T' if rewrite_reply else 'F'}"

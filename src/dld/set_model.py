@@ -9,7 +9,7 @@ use, whether or not anything links to them.
 
 from __future__ import annotations
 
-from .actions import Act
+from .actions import UNDERLYING, Act
 from .errors import DldError
 from .meadow import Meadow
 from .universe import Universe
@@ -254,28 +254,44 @@ def _rgc_kept(st: SetState) -> frozenset:
     return frozenset(out)
 
 
+def perform_set_each(actions, st: SetState) -> list:
+    """(next state, reply) of each action on map triples, in order.  rgc
+    keeps what spots reach and what field cycles reach, closed under
+    field successors, matching the rewrite collector.  A disposal
+    variant replies as its basic action and then disposes of the atom
+    that action displaced: the old content of the first spot or, for
+    setfield/clrfield, of its field.  Each basic action is performed at
+    most once: a variant and its basic action share one `perform_set`
+    result, whichever of them comes first in the list."""
+    shared: dict = {}  # (name, args) -> perform_set's (next state, reply)
+    out = []
+    for act in actions:
+        name = act.name
+        if name == "fgc" or name == "rgc":
+            kept = reach_atoms(st) if name == "fgc" else _rgc_kept(st)
+            out.append((_restrict(st, kept), True))
+            continue
+        basic = act.underlying if name in UNDERLYING else act
+        key = basic.name, basic.args
+        done = shared.get(key)
+        if done is None:
+            done = shared[key] = perform_set(basic, st)
+        if act is not basic:
+            after, reply = done
+            d = st.sigma[act.args[0]]
+            if basic.name in ("setfield", "clrfield"):
+                # a True reply means the field was there; a False one
+                # changed nothing
+                d = st.zeta[d][act.args[1]] if reply else None
+            dispose = ud_set if name.startswith("ud") else sd_set
+            done = dispose(d, after), reply
+        out.append(done)
+    return out
+
+
 def perform_set_reclaim(act: Act, st: SetState) -> tuple:
-    """(next state, reply) of any action on map triples.  rgc keeps what
-    spots reach and what field cycles reach, closed under field
-    successors, matching the rewrite collector.  A disposal variant
-    replies as its basic action and then disposes of the atom that
-    action displaced: the old content of the first spot or, for
-    setfield/clrfield, of its field."""
-    name, args = act.name, act.args
-    if name == "fgc":
-        return _restrict(st, reach_atoms(st)), True
-    if name == "rgc":
-        return _restrict(st, _rgc_kept(st)), True
-    if act.is_basic:
-        return perform_set(act, st)
-    under = act.underlying
-    after, reply = perform_set(under, st)
-    d = st.sigma[args[0]]
-    if under.name in ("setfield", "clrfield"):
-        # a True reply means the field was there; a False one changed nothing
-        d = st.zeta[d][args[1]] if reply else None
-    dispose = ud_set if name.startswith("ud") else sd_set
-    return dispose(d, after), reply
+    """(next state, reply) of any action on map triples."""
+    return perform_set_each((act,), st)[0]
 
 
 def effect_set_reclaim(act: Act, st: SetState) -> SetState:

@@ -197,6 +197,17 @@ def test_negative_case_counts_are_rejected(capsys, suite, cases):
     assert "--cases" in _user_error(capsys, ["check", suite, "--cases", cases])
 
 
+@pytest.mark.parametrize("suite", ["axioms", "thm1"])
+def test_random_suites_run_on_more_links_than_an_index_holds(capsys, suite):
+    # 3 atoms and a modulus near 10^19: more value links than sys.maxsize
+    code = main(["check", suite, "--modulus", "10000000000000000051",
+                 "--cases", "10"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert out.splitlines()[-1].startswith("checked=")
+
+
 def test_deep_terms(capsys, config):
     limit = sys.getrecursionlimit()
     chain = " + ".join(f"{{s:#{i % 10}}}" for i in range(3000))

@@ -3,9 +3,11 @@
 `__init__.py` re-exports, so it is left out.  An import marked
 `noqa: F401` is left out only when perfbench's `SPANS` names it as a
 span target in that module: perfbench wraps it there by name, so it is
-imported for the benchmark's tracer, not for the module's own code."""
+imported for the benchmark's tracer, not for the module's own code.
+Every target perfbench's span tuples name must exist."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -17,17 +19,28 @@ SOURCES = sorted(p for p in Path(dld.__file__).parent.glob("*.py")
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
-def _span_targets() -> set:
-    """The (module, attribute) pairs of perfbench's SPANS tuple."""
+def _span_targets(tuple_name: str) -> set:
+    """The (module, attribute) pairs of a perfbench span tuple, read
+    from its source without importing perfbench."""
     for node in ast.parse(LAYERS.read_text(encoding="utf-8")).body:
         if (isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["SPANS"]):
+                and [t.id for t in node.targets] == [tuple_name]):
             return {(module, name) for module, name, _
                     in ast.literal_eval(node.value)}
-    raise AssertionError(f"no SPANS in {LAYERS}")
+    raise AssertionError(f"no {tuple_name} in {LAYERS}")
 
 
-SPAN_TARGETS = _span_targets()
+SPAN_TARGETS = _span_targets("SPANS")
+
+
+@pytest.mark.parametrize("tuple_name", ["SPANS", "GENERATOR_SPANS"])
+def test_every_span_target_exists(tuple_name):
+    """perfbench's traced run wraps each target by name, so a target
+    that moved or was renamed stops `--trace 1` at its first pass."""
+    missing = sorted((module, name)
+                     for module, name in _span_targets(tuple_name)
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, f"{tuple_name} names what dld lacks: {missing}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

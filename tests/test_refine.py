@@ -1,15 +1,21 @@
 import hashlib
+import random
 import re
 
 import pytest
 
+import dld.refine
 from dld import Act, DataLinkage
-from dld.checks import _state_counts, enumerate_linkages
+from dld.actions import all_actions
+from dld.checks import _state_counts, enumerate_linkages, suite_thm3
 from dld.errors import NonDeterministicState
 from dld.parsing import parse_linkage
+from dld.reclaim import perform_dldr, perform_each
 from dld.refine import (check_commutation, enumerate_states, represent,
                         retrieve)
+from dld.semantics import Scan, evaluate
 from dld.set_model import (SetState, effect_set_reclaim, is_tight,
+                           perform_set_each, perform_set_reclaim,
                            yield_set_reclaim)
 from dld.universe import small_universe
 
@@ -78,6 +84,54 @@ def test_commutation_examples(demo_universe, tiny_universe, L):
     assert parse_linkage(line[1], u) == parse_linkage("s:#0", u)
     assert parse_linkage(line[2], u) == parse_linkage("s:#1", u)
     assert line[3] == "false"
+
+
+@pytest.mark.parametrize("variants_first", [False, True],
+                         ids=["basic-first", "variants-first"])
+def test_each_action_list_equals_one_action_calls(tiny_universe,
+                                                  variants_first):
+    """Evaluating a list of actions on one state shares the scan and the
+    basic actions' outcomes, and gives what one call per action gives:
+    on every map triple, and on non-deterministic linkages, where
+    priority-1 shields keep the disposal variants from disposing."""
+    u = tiny_universe
+    actions = all_actions(u)
+    if variants_first:
+        actions.reverse()
+    states = list(enumerate_states(u))
+    assert len(states) == 1369
+    nondet = random.Random(5).sample(
+        [l for l in enumerate_linkages(u) if not l.is_deterministic()], 400)
+    for st in states:
+        assert perform_set_each(actions, st) == \
+            [perform_set_reclaim(a, st) for a in actions]
+    shielded = 0
+    for l in [retrieve(st) for st in states] + nondet:
+        assert perform_each(actions, l) == [perform_dldr(a, l) for a in actions]
+    for l in nondet:
+        shielded += sum(evaluate(a.underlying, l)[2].priority == 1
+                        for a in actions if a.name[:2] in ("sd", "ud"))
+    assert shielded > 0
+
+
+def test_thm3_scans_and_retrieves_each_state_once(monkeypatch):
+    counts = {"scan": 0, "retrieve": 0}
+    scan, retrieve_state = Scan.__init__, dld.refine.retrieve
+
+    def counted_scan(self, l):
+        counts["scan"] += 1
+        scan(self, l)
+
+    def counted_retrieve(st):
+        counts["retrieve"] += 1
+        return retrieve_state(st)
+
+    monkeypatch.setattr(Scan, "__init__", counted_scan)
+    monkeypatch.setattr(dld.refine, "retrieve", counted_retrieve)
+    summary = suite_thm3(small_universe(2, 1, 2, 2))
+    assert summary.line() == "checked=132192 passed=132192 failed=0"
+    assert counts["scan"] <= 1296
+    assert counts["retrieve"] == 1296
 
 
 def test_enumerate_states_no_duplicates():
