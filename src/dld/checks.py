@@ -152,8 +152,8 @@ def _axiom_cases(rng: random.Random, u: Universe):
     yield ("combine-unit", TCombine(X, TEmpty()), X)
     yield ("override-left-unit", TOverride(TEmpty(), X), X)
     yield ("override-right-unit", TOverride(X, TEmpty()), X)
-    yield ("override-combine", TOverride(X, TCombine(Y, Z)),
-           TCombine(TOverride(TOverride(X, Y), Z), Y))
+    yield ("override-distrib", TOverride(X, TCombine(Y, Z)),
+           TCombine(TOverride(X, Y), TOverride(X, Z)))
 
     def over(u1, u2):
         return (TOverride(TCombine(X, lit(u1)), lit(u2)),

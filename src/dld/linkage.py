@@ -169,19 +169,22 @@ class DataLinkage:
         return DataLinkage(self.universe, self._order + other._order)
 
     def override(self, other: "DataLinkage") -> "DataLinkage":
-        """Overriding combination: the right operand's links, plus every
-        left link whose key no right link claims.
+        """Overriding combination, the closed form of the axioms.
 
-        This is the one reading that meets the stated axioms, among them
-        `X <| (Y + Z) = ((X <| Y) <| Z) + Y`; plain distributivity over
-        a right-hand `+` would, with the right unit, keep every left
-        link and contradict override-spot.
+        Distributing over the right operand bottoms out at single links,
+        so a left link is dropped only when every right link claims its
+        key: with one distinct right key, links on that key go; with two
+        or more distinct right keys, every left link survives some
+        branch and the result is a plain union.
         """
         self._check_same(other)
         if not other.links:
             return self
         keys = {override_key(y) for y in other.links}
-        kept = [x for x in self._order if override_key(x) not in keys]
+        if len(keys) == 1:
+            kept = [x for x in self._order if override_key(x) not in keys]
+        else:
+            kept = list(self._order)
         return DataLinkage(self.universe, tuple(kept) + other._order)
 
     def _check_same(self, other: "DataLinkage"):

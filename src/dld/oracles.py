@@ -1,8 +1,8 @@
 """Slow independent oracles the fast paths are validated against.
 
 Each oracle recomputes a result along a different route than the
-shipped implementation: literal axiom chaining instead of one key-set
-filter, the collectors' rewrite rules applied one link at a time
+shipped implementation: literal axiom chaining instead of the key-set
+closed form, the collectors' rewrite rules applied one link at a time
 (in an order drawn from the given `rng`) instead of one linear search,
 and so on.  The test suite and the `check` command compare the two
 routes.
@@ -17,14 +17,14 @@ from .universe import Universe
 
 def override_by_axioms(xs: frozenset, ys) -> frozenset:
     """Overriding combination computed the way the equations chain:
-    `X <| (y + Z) = ((X <| y) <| Z) + y` peels the right operand one
-    link at a time, and each single-link override peels the left
-    operand one link at a time."""
+    distribute over the right operand down to single links, then peel
+    the left operand one link at a time."""
     ys = list(ys)
-    out = set(xs)
+    if not ys:
+        return frozenset(xs)
+    out: set = set()
     for y in ys:
-        out = _override_single(list(out), y)
-    out.update(ys)
+        out |= _override_single(list(xs), y)
     return frozenset(out)
 
 
