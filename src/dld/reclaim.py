@@ -8,11 +8,11 @@ links; `oracles` keeps the paper's one-link-at-a-time readings, and the
 tests and the gc-cross suite check the collectors against them.
 
 `reclaim_in_place` performs a reclamation action on a Heap, and
-`perform_each` a list of actions on one DataLinkage, through the same
-stages; `perform_dldr` is its one-action projection.  A safe (sd) or
-unsafe (ud) disposal variant evaluates its basic action's guard once and
-replies as it.  A priority-1 row leaves the state unchanged, which
-shields disposal from non-deterministic operands; otherwise the
+`perform_each` a list of actions on one DataLinkage, through one
+per-action step; `perform_dldr` is its one-action projection.  A safe
+(sd) or unsafe (ud) disposal variant evaluates its basic action's guard
+once and replies as it.  A priority-1 row leaves the state unchanged,
+which shields disposal from non-deterministic operands; otherwise the
 displaced atom is disposed of, after ud clears every other reference to
 it.
 """
@@ -122,8 +122,10 @@ def clear_refs(d: str, l: DataLinkage) -> DataLinkage:
 # --- dispatch for the extended action set -----------------------------------
 
 _COLLECTORS = frozenset(("fgc", "rgc"))
-# the basic actions that have disposal variants
-_DISPOSING = frozenset(UNDERLYING.values())
+
+
+def _collect(name: str, links) -> list:
+    return fgc_changes(links) if name == "fgc" else rgc_changes(links)
 
 
 def _displaced(basic: Act, scan):
@@ -138,45 +140,44 @@ def _displaced(basic: Act, scan):
     return d
 
 
-def _dispose(act: Act, d, state, change):
-    """The state after a disposal variant disposes of d, given the state
-    its basic action left; ud clears every other reference to d first."""
-    if d is None:
-        return state
-    if act.name.startswith("ud"):
-        state = change(state, clear_changes(d, state.links))
-    return change(state, dispose_changes(d, state.links))
-
-
-def _collect(name: str, links) -> list:
-    return fgc_changes(links) if name == "fgc" else rgc_changes(links)
+def _step(act: Act, basic: Act, guarded, scan, moved, change):
+    """(state after, reply) of `act`, which is `basic` or one of its
+    disposal variants, given `guarded`, the guard result of `basic` on
+    `scan`, the index of the state before the action (a Heap is its own).
+    `moved()` gives the state that basic's own change leaves, and
+    `change(state, changes)` makes further changes.  A variant reads its
+    displaced atom off the scan before `moved()` and then disposes of it,
+    ud first clearing every other reference to it, unless a priority-1
+    row shielded the state: such a row changes nothing."""
+    reply, erow = guarded[0], guarded[1]
+    d = None if act is basic or erow[1] == "1" else _displaced(basic, scan)
+    state = moved()
+    if d is not None:
+        if act.name.startswith("ud"):
+            state = change(state, clear_changes(d, state.links))
+        state = change(state, dispose_changes(d, state.links))
+    return state, reply
 
 
 def reclaim_in_place(act: Act, heap) -> bool:
-    """The reply of a reclamation action on a Heap, changed in place.  A
-    priority-1 row of a variant's basic action leaves the heap as it is;
-    the displaced atom is read before the heap changes."""
+    """The reply of a reclamation action on a Heap, changed in place."""
     if act.name in _COLLECTORS:
         _in_place(heap, _collect(act.name, heap.links))
         return True
     basic = act.underlying
-    reply, erow, _, _, drop, add = GUARDS[basic.name](heap.universe, heap,
-                                                      *basic.args)
-    if erow[1] != "1":
-        d = _displaced(basic, heap)
-        heap.apply(drop, add)
-        _dispose(act, d, heap, _in_place)
-    return reply
+    guarded = GUARDS[basic.name](heap.universe, heap, *basic.args)
+    return _step(act, basic, guarded, heap,
+                 lambda: _in_place(heap, (guarded[4:],)), _in_place)[1]
 
 
 def perform_each(actions, l: DataLinkage) -> list:
     """(next state, reply) of each action on l, in order.  One Scan of l
     serves every action, built only when one needs it, and each basic
-    action that has disposal variants is evaluated at most once: the
-    variants and the basic action share one guard call and one next
-    state, whichever of them comes first in the list."""
+    action is evaluated at most once: its disposal variants share its
+    guard call and its next state, whichever of them comes first in the
+    list."""
     scan = None
-    shared: dict = {}  # (name, args) -> (reply, shielded, next state)
+    shared: dict = {}  # (name, args) -> (guard result, next state)
     out = []
     for act in actions:
         name = act.name
@@ -184,22 +185,15 @@ def perform_each(actions, l: DataLinkage) -> list:
             out.append((_changed(l, _collect(name, l.links)), True))
             continue
         basic = act.underlying if name in UNDERLYING else act
-        key = (basic.name, basic.args) if basic.name in _DISPOSING else None
-        done = None if key is None else shared.get(key)
+        key = basic.name, basic.args
+        done = shared.get(key)
         if done is None:
             if scan is None:
                 scan = Scan(l)
-            reply, erow, _, _, drop, add = GUARDS[basic.name](
-                l.universe, scan, *basic.args)
-            shielded = erow[1] == "1"
-            after = _changed(l, ((drop, add),))
-            if key is not None:
-                shared[key] = reply, shielded, after
-        else:
-            reply, shielded, after = done
-        if act is not basic and not shielded:
-            after = _dispose(act, _displaced(basic, scan), after, _changed)
-        out.append((after, reply))
+            guarded = GUARDS[basic.name](l.universe, scan, *basic.args)
+            done = shared[key] = guarded, _changed(l, (guarded[4:],))
+        guarded, after = done
+        out.append(_step(act, basic, guarded, scan, lambda: after, _changed))
     return out
 
 
